@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .pcgroup import PcError, PcPresentation, Violation, check_consistency, parse_catalog
+from .pcgroup import PcError, PcPresentation, Violation, parse_catalog
 
 
 class CatalogError(PcError):
@@ -78,9 +78,8 @@ def _check_entries(
     bad: dict[str, list[Violation]] = {}
     entries = []
     for pres in presentations:
-        violations = check_consistency(pres)
-        if violations:
-            bad[pres.name] = violations
+        if pres.violations:
+            bad[pres.name] = list(pres.violations)
             continue
         entries.append(
             CatalogEntry(

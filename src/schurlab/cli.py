@@ -7,17 +7,22 @@ import sys
 
 from .bounds import emit_tables
 from .catalog import CatalogError, load_bundled
-from .identities import LEMMA_IDS, alpha, verify_collection_lemma
-from .multiplier import DEFAULT_ORACLE_CAP, exterior_exponent, schur_cover, schur_multiplier
+from .identities import LEMMA_IDS, IdentityError, alpha, verify_collection_lemma
+from .multiplier import DEFAULT_ORACLE_CAP, OracleCapExceeded, exterior_exponent
+from .multiplier import schur_cover, schur_multiplier
 from .pcgroup import PcError
 from .verifier import RULE_IDS, RunConfig, run
+
+
+class UsageError(Exception):
+    """Bad input that a subcommand detects; ``main`` reports it and exits 2."""
 
 
 def _find_presentation(name: str):
     for entry in load_bundled():
         if entry.name == name:
             return entry.presentation
-    raise SystemExit(f"error: no bundled group named {name!r}")
+    raise UsageError(f"no bundled group named {name!r}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -27,9 +32,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         rules = tuple(r.strip() for r in args.rules.split(",") if r.strip())
         unknown = [r for r in rules if r not in RULE_IDS]
         if unknown:
-            print(f"error: unknown rules {unknown}; valid: {', '.join(RULE_IDS)}",
-                  file=sys.stderr)
-            return 2
+            raise UsageError(f"unknown rules {unknown}; valid: {', '.join(RULE_IDS)}")
     config = RunConfig(
         catalog_paths=tuple(args.catalog),
         rules=rules,
@@ -42,15 +45,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         result = run(config)
     except (CatalogError, PcError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from None
     print(result.render(args.format))
     return result.exit_code
 
 
 def _cmd_multiplier(args: argparse.Namespace) -> int:
     pres = _find_presentation(args.group)
-    inv = schur_multiplier(pres, method=args.method)
+    try:
+        inv = schur_multiplier(pres, method=args.method)
+    except OracleCapExceeded as exc:
+        raise UsageError(exc) from None
     print(f"M({args.group}) = {inv}")
     return 0
 
@@ -72,12 +77,10 @@ def _cmd_identities(args: argparse.Namespace) -> int:
     ids = args.check or list(LEMMA_IDS)
     unknown = [i for i in ids if i not in LEMMA_IDS]
     if unknown:
-        print(f"error: unknown identity ids {unknown}; valid: {', '.join(LEMMA_IDS)}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown identity ids {unknown}; valid: {', '.join(LEMMA_IDS)}")
     failed = False
     for lemma_id in ids:
-        report = verify_collection_lemma(lemma_id, n_max=args.n_max, prime=args.prime)
+        report = verify_collection_lemma(lemma_id, n_max=args.n_max)
         status = "pass" if report.passed else "FAIL"
         line = f"{lemma_id}: {status} ({report.detail})"
         if not report.passed:
@@ -93,7 +96,11 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_alpha(args: argparse.Namespace) -> int:
-    print(alpha(args.m, args.n))
+    try:
+        value = alpha(args.m, args.n)
+    except IdentityError as exc:
+        raise UsageError(exc) from None
+    print(value)
     return 0
 
 
@@ -132,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident.add_argument("--check", action="append", default=[],
                          help="identity id (repeatable); default: all")
     p_ident.add_argument("--n-max", type=int, default=20)
-    p_ident.add_argument("--prime", type=int, default=5)
     p_ident.set_defaults(func=_cmd_identities)
 
     p_tables = sub.add_parser("tables", help="print the bound-comparison tables")
@@ -148,7 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -608,7 +608,7 @@ LEMMA_IDS = (
 )
 
 
-def verify_collection_lemma(lemma_id: str, n_max: int = 20, prime: int = 5) -> LemmaReport:
+def verify_collection_lemma(lemma_id: str, n_max: int = 20) -> LemmaReport:
     if lemma_id == "L2.7":
         return _check_l27()
     if lemma_id == "L2.8":

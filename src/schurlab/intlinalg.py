@@ -67,24 +67,6 @@ class SparseIntMatrix:
             out[i][j] = v
         return out
 
-    def row_vectors(self) -> list[dict[int, int]]:
-        out: list[dict[int, int]] = [{} for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
-    def permute_cols(self, perm: list[int]) -> "SparseIntMatrix":
-        """New matrix with column j taken from old column perm[j]."""
-        if sorted(perm) != list(range(self.cols)):
-            raise ValueError("not a permutation")
-        inv = [0] * self.cols
-        for j, p in enumerate(perm):
-            inv[p] = j
-        m = SparseIntMatrix(self.rows, self.cols)
-        for (i, j), v in self.entries.items():
-            m[i, inv[j]] = v
-        return m
-
     def __repr__(self):
         return f"SparseIntMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
 

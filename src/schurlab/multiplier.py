@@ -6,12 +6,18 @@ relation of a consistent pc presentation, re-run every consistency test, and
 read off M(G) as the torsion of Z^r modulo the tail relations (Hopf's formula;
 the free rank must come out equal to the number of generators).  The oracle is
 the normalized inhomogeneous bar complex, which knows nothing about collection.
+
+One pipeline per group: ``schur_cover`` takes one Smith normal form (with
+transforms) of one tails matrix and reads M(G) from its diagonal and the cover
+presentation from its column transform.  The cover's PcGroup H is built once
+and carried in the ``CoverResult``; its γ₂ serves the stem check and
+``exterior_exponent``.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .intlinalg import LatticeBasis, SNFResult, SparseIntMatrix, quotient_invariants, snf
@@ -22,6 +28,7 @@ from .pcgroup import (
     PcGroup,
     PcPresentation,
     Word,
+    group_of,
     make_presentation,
     overlap_tests,
 )
@@ -180,6 +187,19 @@ def bar_homology(
 # -- tails method --------------------------------------------------------------
 
 
+def _tail_columns(ntails: int, tail_perm: Optional[Sequence[int]]) -> list[int]:
+    """Column of each tail in the tails matrix: old tail tail_perm[j] sits in
+    column j."""
+    if tail_perm is None:
+        return list(range(ntails))
+    if sorted(tail_perm) != list(range(ntails)):
+        raise MultiplierError("tail_perm is not a permutation of the tails")
+    columns = [0] * ntails
+    for j, old in enumerate(tail_perm):
+        columns[old] = j
+    return columns
+
+
 def tails_matrix(
     pres: PcPresentation, tail_perm: Optional[Sequence[int]] = None
 ) -> SparseIntMatrix:
@@ -188,31 +208,43 @@ def tails_matrix(
     tail_perm[j]); the multiplier must not depend on it."""
     collector = Collector(pres, tails=True)
     r = collector.ntails
-    if tail_perm is None:
-        new_col = list(range(r))
-    else:
-        if sorted(tail_perm) != list(range(r)):
-            raise MultiplierError("tail_perm is not a permutation of the tails")
-        new_col = [0] * r
-        for j, old in enumerate(tail_perm):
-            new_col[old] = j
-    rows: list[dict[int, int]] = []
+    new_col = _tail_columns(r, tail_perm)
+    entries: dict[tuple[int, int], int] = {}
+    rows = 0
     for family, indices, (le, lt), (re_, rt) in overlap_tests(collector):
         if le != re_:
             raise InconsistentPresentation(
                 f"{pres.name}: {family}{indices}: {le} != {re_}"
             )
-        row = {}
         for k in range(r):
-            v = lt[k] - rt[k]
-            if v:
-                row[new_col[k]] = v
-        rows.append(row)
-    matrix = SparseIntMatrix(len(rows), r)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            matrix[i, j] = v
-    return matrix
+            if lt[k] != rt[k]:
+                entries[rows, new_col[k]] = lt[k] - rt[k]
+        rows += 1
+    return SparseIntMatrix(rows, r, entries)
+
+
+def _hopf_multiplier(pres: PcPresentation, ntails: int, result: SNFResult) -> AbelianInvariants:
+    """M(G) from the SNF of the tails matrix: the torsion of Z^ntails modulo
+    the tail relations, whose free rank must equal the generator count."""
+    free = ntails - result.rank
+    if free != pres.ngens:
+        raise MultiplierError(
+            f"{pres.name}: tails free rank {free} != ngens {pres.ngens} "
+            "(Hopf formula violated)"
+        )
+    return AbelianInvariants(tuple(d for d in result.diagonal if d > 1))
+
+
+def crosscheck_multiplier(
+    pres: PcPresentation, tails: AbelianInvariants, oracle_cap: int = DEFAULT_ORACLE_CAP
+) -> AbelianInvariants:
+    """``tails``, once the bar oracle has found the same multiplier."""
+    bar = schur_multiplier(pres, method="bar", oracle_cap=oracle_cap)
+    if tails != bar:
+        raise MultiplierError(
+            f"{pres.name}: method disagreement: tails {tails} vs bar {bar}"
+        )
+    return tails
 
 
 def schur_multiplier(
@@ -223,29 +255,11 @@ def schur_multiplier(
 ) -> AbelianInvariants:
     if method not in ("tails", "bar", "both"):
         raise MultiplierError(f"unknown method {method!r}")
-    result_tails = None
-    result_bar = None
-    if method in ("tails", "both"):
-        matrix = tails_matrix(pres, tail_perm)
-        torsion, free = quotient_invariants(matrix.cols, matrix.row_vectors())
-        if free != pres.ngens:
-            raise MultiplierError(
-                f"{pres.name}: tails free rank {free} != ngens {pres.ngens} "
-                "(Hopf formula violated)"
-            )
-        result_tails = AbelianInvariants(torsion)
-    if method in ("bar", "both"):
-        table = multiplication_table(PcGroup(pres))
-        result_bar = bar_homology(table, 2, cap=oracle_cap)
-    if method == "tails":
-        return result_tails
     if method == "bar":
-        return result_bar
-    if result_tails != result_bar:
-        raise MultiplierError(
-            f"{pres.name}: method disagreement: tails {result_tails} vs bar {result_bar}"
-        )
-    return result_tails
+        return bar_homology(multiplication_table(group_of(pres)), 2, cap=oracle_cap)
+    matrix = tails_matrix(pres, tail_perm)
+    tails = _hopf_multiplier(pres, matrix.cols, snf(matrix))
+    return crosscheck_multiplier(pres, tails, oracle_cap) if method == "both" else tails
 
 
 # -- Schur cover ----------------------------------------------------------------
@@ -256,6 +270,7 @@ class CoverResult:
     cover: PcPresentation
     kernel_generators: tuple[tuple[int, ...], ...]
     multiplier: AbelianInvariants
+    group: PcGroup = field(compare=False, repr=False)  # H, built once from cover
 
 
 def _prime_power(d: int) -> tuple[int, int]:
@@ -283,13 +298,10 @@ def schur_cover(
     r = matrix.cols
     n = pres.ngens
     result = snf(matrix, want_transforms=True)
+    multiplier = _hopf_multiplier(pres, r, result)
     diag = result.diagonal_padded(r)
     Q = result.col_transform
-
-    torsion, free = quotient_invariants(r, matrix.row_vectors())
-    if free != n:
-        raise MultiplierError(f"{pres.name}: tails free rank {free} != ngens {n}")
-    multiplier = AbelianInvariants(torsion)
+    col_of_old = _tail_columns(r, tail_perm)
 
     # Keep one central generator per invariant d > 1, refined into a chain of
     # prime-order generators h_1, ..., h_k with h_l^p = h_{l+1}, h_k^p = 1.
@@ -303,32 +315,26 @@ def schur_cover(
 
     def tail_word(t: int) -> Word:
         """Normal word (over the new generators) of the old tail t: the SNF
-        basis change gives tail_t = prod_j f_j^{Q[t][j]}."""
+        basis change gives tail_t = prod_j f_j^{Q[col_t][j]}."""
         out = []
         for j, start, k, p, d in chains:
-            c = Q[t][j] % d
+            c = Q[col_of_old[t]][j] % d
             for l in range(k):
                 c, digit = divmod(c, p)
                 if digit:
                     out.append((start + l, digit))
         return tuple(sorted(out))
 
-    # tails_matrix places old tail tail_perm[j] in column j
-    old_of_col = list(tail_perm) if tail_perm is not None else list(range(r))
-    col_of_old = [0] * r
-    for col, old in enumerate(old_of_col):
-        col_of_old[old] = col
-
     collector = Collector(pres, tails=True)
     power_words: dict[int, Word] = {}
     for i in range(n):
-        w = tuple(pres.power_words[i]) + tail_word(col_of_old[i])
+        w = tuple(pres.power_words[i]) + tail_word(i)
         if w:
             power_words[i] = w
     comm_words: dict[tuple[int, int], Word] = {}
     for pair_pos, (j, i) in enumerate(collector.pairs):
         base = pres.comm_dict.get((j, i), ())
-        w = tuple(base) + tail_word(col_of_old[n + pair_pos])
+        w = tuple(base) + tail_word(n + pair_pos)
         if w:
             comm_words[(j, i)] = w
     for _j, start, k, p, _d in chains:
@@ -359,38 +365,27 @@ def schur_cover(
             if cover_group.commutator(h, cover_group.generator(i)) != cover_group.identity:
                 raise MultiplierError(f"{pres.name}: cover kernel is not central")
     if kernel_gens:
-        gamma2 = _gamma2(cover_group)
+        gamma2 = cover_group.gamma2
         for h in kernel_gens:
             if h not in gamma2:
                 raise MultiplierError(f"{pres.name}: cover kernel not inside γ₂ (stem fails)")
-    return CoverResult(cover=cover_pres, kernel_generators=kernel_gens, multiplier=multiplier)
-
-
-def _gamma2(group: PcGroup):
-    gens = group.generators()
-    comms = [
-        group.commutator(gens[i], gens[j])
-        for i in range(len(gens))
-        for j in range(i + 1, len(gens))
-    ]
-    return group.subgroup(comms, normal_closure=True)
+    return CoverResult(cover_pres, kernel_gens, multiplier, cover_group)
 
 
 def exterior_exponent(
     pres: PcPresentation, cover_result: Optional[CoverResult] = None
 ) -> int:
-    """exp(G ∧ G) = exp(γ₂(H)) for a Schur cover H."""
+    """exp(G ∧ G) = exp(γ₂(H)) for a Schur cover H; exp(M) and exp(γ₂(G))
+    must divide it."""
     if cover_result is None:
         cover_result = schur_cover(pres)
-    cover_group = PcGroup(cover_result.cover, check=False)
-    value = _gamma2(cover_group).exponent()
+    value = cover_result.group.gamma2.exponent()
     if value % cover_result.multiplier.exponent:
         raise MultiplierError(
             f"{pres.name}: exp(M) = {cover_result.multiplier.exponent} does not "
             f"divide exterior exponent {value}"
         )
-    gamma2_g = _gamma2(PcGroup(pres, check=False))
-    if value % gamma2_g.exponent():
+    if value % group_of(pres).gamma2.exponent():
         raise MultiplierError(
             f"{pres.name}: exp(γ₂(G)) does not divide exterior exponent {value}"
         )

@@ -10,11 +10,15 @@ Elements are normal words: exponent tuples (e_1..e_n) with 0 <= e_i < o_i.
 Arithmetic is collection-from-the-left.  The collector optionally tracks one
 central integer "tail" per relation; that powers the Schur-multiplier
 computation in the multiplier module.
+
+A presentation runs its overlap tests once, the first time catalog load,
+``PcGroup`` or ``group_of`` asks whether it is consistent.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import random
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -78,6 +82,11 @@ class PcPresentation:
     @cached_property
     def comm_dict(self) -> dict[tuple[int, int], Word]:
         return dict(self.comm_words)
+
+    @cached_property
+    def violations(self) -> tuple["Violation", ...]:
+        """Failed overlap tests (empty when consistent), run once per object."""
+        return tuple(check_consistency(self))
 
     def validate(self) -> None:
         n = self.ngens
@@ -284,52 +293,35 @@ def overlap_tests(collector: Collector):
     n = collector.n
     orders = collector.orders
 
+    def side(first: Word, before: Word = (), after: Word = ()):
+        # collect ``first``, then its normal word between ``before`` and
+        # ``after``, accumulating one tail vector over both collections
+        t = [0] * collector.ntails
+        e1, _ = collector.collect(first, t)
+        e2, _ = collector.collect(before + word_of(e1) + after, t)
+        return e2, tuple(t)
+
     for k in range(n):
         for j in range(k):
             for i in range(j):
-                # (g_k g_j) g_i: collect g_k g_j, then append g_i
-                t = [0] * collector.ntails
-                e1, _ = collector.collect([(k, 1), (j, 1)], t)
-                e2, _ = collector.collect(word_of(e1) + ((i, 1),), t)
-                rhs = (e2, tuple(t))
-                # lhs: g_k * (g_j g_i)
-                t = [0] * collector.ntails
-                e1, _ = collector.collect([(j, 1), (i, 1)], t)
-                e2, _ = collector.collect(((k, 1),) + word_of(e1), t)
-                lhs = (e2, tuple(t))
+                # (g_k g_j) g_i  vs  g_k (g_j g_i)
+                rhs = side(((k, 1), (j, 1)), after=((i, 1),))
+                lhs = side(((j, 1), (i, 1)), before=((k, 1),))
                 yield "triple", (k + 1, j + 1, i + 1), lhs, rhs
     for j in range(n):
         for i in range(j):
             # (g_j^{o_j}) g_i  vs  g_j^{o_j-1} (g_j g_i)
-            t = [0] * collector.ntails
-            e1, _ = collector.collect([(j, orders[j])], t)
-            e2, _ = collector.collect(word_of(e1) + ((i, 1),), t)
-            lhs = (e2, tuple(t))
-            t = [0] * collector.ntails
-            e1, _ = collector.collect([(j, 1), (i, 1)], t)
-            e2, _ = collector.collect(((j, orders[j] - 1),) + word_of(e1), t)
-            rhs = (e2, tuple(t))
+            lhs = side(((j, orders[j]),), after=((i, 1),))
+            rhs = side(((j, 1), (i, 1)), before=((j, orders[j] - 1),))
             yield "power_left", (j + 1, i + 1), lhs, rhs
             # g_j (g_i^{o_i})  vs  (g_j g_i) g_i^{o_i-1}
-            t = [0] * collector.ntails
-            e1, _ = collector.collect([(i, orders[i])], t)
-            e2, _ = collector.collect(((j, 1),) + word_of(e1), t)
-            lhs = (e2, tuple(t))
-            t = [0] * collector.ntails
-            e1, _ = collector.collect([(j, 1), (i, 1)], t)
-            e2, _ = collector.collect(word_of(e1) + ((i, orders[i] - 1),), t)
-            rhs = (e2, tuple(t))
+            lhs = side(((i, orders[i]),), before=((j, 1),))
+            rhs = side(((j, 1), (i, 1)), after=((i, orders[i] - 1),))
             yield "power_right", (j + 1, i + 1), lhs, rhs
     for i in range(n):
         # g_i (g_i^{o_i})  vs  (g_i^{o_i}) g_i
-        t = [0] * collector.ntails
-        e1, _ = collector.collect([(i, orders[i])], t)
-        e2, _ = collector.collect(((i, 1),) + word_of(e1), t)
-        lhs = (e2, tuple(t))
-        t = [0] * collector.ntails
-        e1, _ = collector.collect([(i, orders[i])], t)
-        e2, _ = collector.collect(word_of(e1) + ((i, 1),), t)
-        rhs = (e2, tuple(t))
+        lhs = side(((i, orders[i]),), before=((i, 1),))
+        rhs = side(((i, orders[i]),), after=((i, 1),))
         yield "power_self", (i + 1,), lhs, rhs
 
 
@@ -386,18 +378,18 @@ class PcGroup:
 
     All element operations are word-level (no index tables); small groups get
     an unbounded product memo so closure-heavy analyses amortize to dict hits.
+    The lower central and derived series, the center, γ₂ and exponents are
+    computed once and kept; γ₂ is enumerated without enumerating the group.
     """
 
     MEMO_ORDER_LIMIT = 4096
 
-    def __init__(self, pres: PcPresentation, cap: int = DEFAULT_CAP, check: bool = True):
+    def __init__(self, pres: PcPresentation, cap: int = DEFAULT_CAP):
         pres.validate()
-        if check:
-            violations = check_consistency(pres)
-            if violations:
-                raise InconsistentPresentation(
-                    f"{pres.name}: " + "; ".join(str(v) for v in violations[:5])
-                )
+        if pres.violations:
+            raise InconsistentPresentation(
+                f"{pres.name}: " + "; ".join(str(v) for v in pres.violations[:5])
+            )
         self.pres = pres
         self.cap = cap
         self.collector = Collector(pres, tails=False)
@@ -405,6 +397,7 @@ class PcGroup:
         self._mcache: Optional[dict] = {} if pres.order <= self.MEMO_ORDER_LIMIT else None
         self._ocache: dict[NormalWord, int] = {}
         self._icache: dict[NormalWord, NormalWord] = {}
+        self._exponents: dict[Optional[frozenset[NormalWord]], int] = {}
         self._order_prime_factors = sorted(set(pres.relative_orders))
 
     # -- basic arithmetic ---------------------------------------------------
@@ -514,22 +507,28 @@ class PcGroup:
                     frontier.append(y)
         return frozenset(elems)
 
+    def _conjugates(
+        self, seeds: Iterable[NormalWord], conjugators: Sequence[NormalWord]
+    ) -> list[NormalWord]:
+        """Sorted nontrivial conjugates of ``seeds`` under ``conjugators``:
+        generators of their normal closure in <conjugators>."""
+        seen = set(seeds) - {self.identity}
+        frontier = list(seen)
+        while frontier:
+            x = frontier.pop()
+            for g in conjugators:
+                y = self.conjugate(g, x)
+                if y != self.identity and y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        return sorted(seen)
+
     def subgroup(
         self, gens: Iterable[NormalWord], normal_closure: bool = False
     ) -> Subgroup:
         gens = [self.normalize(word_of(g)) for g in gens]
         if normal_closure:
-            ggens = self.generators()
-            seed = set(gens) - {self.identity}
-            frontier = list(seed)
-            while frontier:
-                x = frontier.pop()
-                for g in ggens:
-                    y = self.conjugate(g, x)
-                    if y != self.identity and y not in seed:
-                        seed.add(y)
-                        frontier.append(y)
-            gens = sorted(seed)
+            gens = self._conjugates(gens, self.generators())
         return Subgroup(self, tuple(gens), self.closure(gens))
 
     def trivial_subgroup(self) -> Subgroup:
@@ -540,43 +539,56 @@ class PcGroup:
 
     # -- characteristic structure ---------------------------------------------
 
+    @cached_property
+    def gamma2(self) -> Subgroup:
+        """γ₂ = [G, G]: only its own elements are enumerated, never all of G."""
+        gens = self.generators()
+        return self.subgroup(
+            [self.commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]],
+            normal_closure=True,
+        )
+
     def lower_central_series(self) -> list[Subgroup]:
         """[γ1, γ2, ...] down to (and including) the trivial subgroup."""
-        series = [self.full_subgroup()]
-        gens = self.generators()
-        current_gens = gens
-        while series[-1].order > 1:
-            new_gens = []
-            for a in current_gens:
-                for g in gens:
-                    c = self.commutator(a, g)
-                    if c != self.identity:
-                        new_gens.append(c)
-            nxt = self.subgroup(new_gens, normal_closure=True)
-            if nxt.order == series[-1].order:
-                raise PcError(f"{self.pres.name}: lower central series does not terminate")
-            series.append(nxt)
-            current_gens = list(nxt.generators)
-        return series
+        return list(self._lower_central)
 
     def derived_series(self) -> list[Subgroup]:
+        return list(self._derived)
+
+    @cached_property
+    def _lower_central(self) -> tuple[Subgroup, ...]:
+        return self._commutator_series("lower central", self.generators())
+
+    @cached_property
+    def _derived(self) -> tuple[Subgroup, ...]:
+        return self._commutator_series("derived", None)
+
+    def _commutator_series(
+        self, what: str, partners: Optional[list[NormalWord]]
+    ) -> tuple[Subgroup, ...]:
+        """G, γ₂, then each term the normal closure of the commutators of the
+        previous term's generators with ``partners`` (with themselves when
+        None), down to the trivial subgroup."""
         series = [self.full_subgroup()]
-        current_gens = self.generators()
+        nxt = self.gamma2
         while series[-1].order > 1:
-            new_gens = []
-            for a in current_gens:
-                for b in current_gens:
-                    c = self.commutator(a, b)
-                    if c != self.identity:
-                        new_gens.append(c)
-            nxt = self.subgroup(new_gens, normal_closure=True)
             if nxt.order == series[-1].order:
-                raise PcError(f"{self.pres.name}: derived series does not terminate")
+                raise PcError(f"{self.pres.name}: {what} series does not terminate")
             series.append(nxt)
-            current_gens = list(nxt.generators)
-        return series
+            current = list(nxt.generators)
+            comms = (
+                self.commutator(a, b)
+                for a in current
+                for b in (current if partners is None else partners)
+            )
+            nxt = self.subgroup([c for c in comms if c != self.identity], normal_closure=True)
+        return tuple(series)
 
     def center(self) -> Subgroup:
+        return self._center
+
+    @cached_property
+    def _center(self) -> Subgroup:
         gens = self.generators()
         central = [
             w
@@ -595,17 +607,19 @@ class PcGroup:
         return frozenset(self.power(w, k) for w in self.elements())
 
     def exponent(self, modulo: Optional[Subgroup] = None) -> int:
-        e = 1
-        if modulo is None:
-            for w in self.elements():
-                e = math.lcm(e, self.element_order(w))
+        key = None if modulo is None else modulo.elements
+        e = self._exponents.get(key)
+        if e is not None:
             return e
+        e = 1
         for w in self.elements():
             k = self.element_order(w)
-            for p in self._order_prime_factors:
-                while k % p == 0 and self.power(w, k // p) in modulo:
-                    k //= p
+            if modulo is not None:
+                for p in self._order_prime_factors:
+                    while k % p == 0 and self.power(w, k // p) in modulo:
+                        k //= p
             e = math.lcm(e, k)
+        self._exponents[key] = e
         return e
 
     def abelianization_invariants(self) -> tuple[int, ...]:
@@ -649,25 +663,21 @@ class PcGroup:
             return True
         if p == 2:
             return False  # nonabelian 2-groups are never regular
-        if self.order <= 81:
-            elems = self.elements()
-            for a in elems:
-                for b in elems:
-                    if not self._regular_pair(a, b, p):
-                        return False
-            return True
-        import random
-
-        rng = random.Random(seed)
         elems = self.elements()
-        for _ in range(sample_budget):
-            a = rng.choice(elems)
-            b = rng.choice(elems)
-            if not self._regular_pair(a, b, p):
-                return False
-        return None
+        if self.order <= 81:
+            pairs, verdict = ((a, b) for a in elems for b in elems), True
+        else:
+            rng = random.Random(seed)
+            pairs = ((rng.choice(elems), rng.choice(elems)) for _ in range(sample_budget))
+            verdict = None
+        targets: dict[frozenset, frozenset] = {}
+        if all(self._regular_pair(a, b, p, targets) for a, b in pairs):
+            return verdict
+        return False
 
-    def _regular_pair(self, a: NormalWord, b: NormalWord, p: int) -> bool:
+    def _regular_pair(
+        self, a: NormalWord, b: NormalWord, p: int, targets: dict[frozenset, frozenset]
+    ) -> bool:
         # s := b^{-p} a^{-p} (ab)^p must lie in <x^p : x in γ₂(<a,b>)>
         s = self.multiply(
             self.multiply(self.power(b, -p), self.power(a, -p)),
@@ -676,38 +686,22 @@ class PcGroup:
         if s == self.identity:
             return True
         key = frozenset((a, b))
-        cache = getattr(self, "_reg_cache", None)
-        if cache is None:
-            cache = self._reg_cache = {}
-        target = cache.get(key)
+        target = targets.get(key)
         if target is None:
-            h_elems = self.closure([a, b])
-            c = self.commutator(a, b)
             # γ₂(H) = normal closure of [a,b] in H = <a,b>
-            seed = {c} - {self.identity}
-            frontier = list(seed)
-            while frontier:
-                x = frontier.pop()
-                for g in (a, b):
-                    y = self.conjugate(g, x)
-                    if y != self.identity and y not in seed:
-                        seed.add(y)
-                        frontier.append(y)
-            gamma2 = self.closure(sorted(seed))
+            gamma2 = self.closure(self._conjugates([self.commutator(a, b)], (a, b)))
             target = self.closure(sorted({self.power(x, p) for x in gamma2}))
-            cache[key] = target
+            targets[key] = target
         return s in target
 
     def classify(self, regular_sample_budget: int = 512) -> GroupFlags:
         p = self.pres.prime
         lcs = self.lower_central_series()
         cls = len(lcs) - 1
-        ds = self.derived_series()
-        dlen = len(ds) - 1
+        dlen = len(self.derived_series()) - 1
         expo = self.exponent()
-        center = self.center()
-        central_exp = self.exponent(modulo=center)
-        gamma2 = lcs[1] if len(lcs) > 1 else self.trivial_subgroup()
+        central_exp = self.exponent(modulo=self.center())
+        gamma2 = self.gamma2
 
         is_powerful = False
         condition1_m = None
@@ -805,21 +799,24 @@ def parse_catalog(text: str) -> list[PcPresentation]:
                 key, _, value = line.partition("=")
                 key = key.strip()
                 value = value.strip()
-                if key == "name":
-                    name = value
-                elif key == "prime":
-                    prime = int(value)
-                    if not is_prime(prime):
-                        raise CatalogSyntaxError(lineno, f"prime = {prime} is not prime")
-                elif key == "ngens":
-                    ngens = int(value)
-                elif key == "orders":
-                    orders = [int(t) for t in value.split()]
-                    for o in orders:
-                        if not is_prime(o):
-                            raise CatalogSyntaxError(lineno, f"relative order {o} is not prime")
-                else:
-                    raise CatalogSyntaxError(lineno, f"unknown key {key!r}")
+                try:
+                    if key == "name":
+                        name = value
+                    elif key == "prime":
+                        prime = int(value)
+                        if not is_prime(prime):
+                            raise CatalogSyntaxError(lineno, f"prime = {prime} is not prime")
+                    elif key == "ngens":
+                        ngens = int(value)
+                    elif key == "orders":
+                        orders = [int(t) for t in value.split()]
+                        for o in orders:
+                            if not is_prime(o):
+                                raise CatalogSyntaxError(lineno, f"relative order {o} is not prime")
+                    else:
+                        raise CatalogSyntaxError(lineno, f"unknown key {key!r}")
+                except ValueError:
+                    raise CatalogSyntaxError(lineno, f"{key} = {value!r}: not an integer") from None
                 continue
             m = re.match(r"^pow\s+(\d+)\s*:\s*(.*)$", line)
             if m:

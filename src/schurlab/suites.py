@@ -47,6 +47,21 @@ def _pn_range(group: PcGroup) -> list[int]:
     return ns
 
 
+def _equivalence_counterexample(
+    group: PcGroup, a: NormalWord, b: NormalWord, comm: NormalWord, a_q: NormalWord, n: int
+) -> Optional[str]:
+    """None when [b,a]^q = 1, [b,a^q] = 1, [b^q,a] = 1 (q = p^n, comm = [b,a],
+    a_q = a^q) hold or fail together, else the counterexample."""
+    q = group.pres.prime**n
+    one = group.identity
+    c1 = group.power(comm, q) == one
+    c2 = group.commutator(b, a_q) == one
+    c3 = group.commutator(group.power(b, q), a) == one
+    if c1 == c2 == c3:
+        return None
+    return f"a={a}, b={b}, n={n}: ({c1},{c2},{c3})"
+
+
 def check_regular_power_laws(group: PcGroup, flags: GroupFlags) -> SuiteReport:
     """Power laws of regular p-groups, exhaustive over element pairs.
 
@@ -71,14 +86,9 @@ def check_regular_power_laws(group: PcGroup, flags: GroupFlags) -> SuiteReport:
             comm = group.commutator(b, a)
             for n in ns:
                 q = p**n
-                c1 = group.power(comm, q) == one
-                c2 = group.commutator(b, a_pows[n]) == one
-                c3 = group.commutator(group.power(b, q), a) == one
-                if not (c1 == c2 == c3):
-                    return SuiteReport(
-                        sid, True, False, "part (i) equivalence failed",
-                        f"a={a}, b={b}, n={n}: ({c1},{c2},{c3})",
-                    )
+                bad = _equivalence_counterexample(group, a, b, comm, a_pows[n], n)
+                if bad is not None:
+                    return SuiteReport(sid, True, False, "part (i) equivalence failed", bad)
                 if (a_pows[n] == group.power(b, q)) != (
                     group.power(group.multiply(a, group.inverse(b)), q) == one
                 ):
@@ -107,9 +117,10 @@ def check_central_power_abelian(group: PcGroup, flags: GroupFlags) -> SuiteRepor
     p = group.pres.prime
     one = group.normalize([])
     elems = group.elements()
+    ns = _pn_range(group)
     checked = 0
     for a in elems:
-        for n in _pn_range(group):
+        for n in ns:
             q = p**n
             aq = group.power(a, q)
             for b in elems:
@@ -138,22 +149,17 @@ def check_class_p_commutator_equivalence(
         return _not_applicable(sid, f"class {flags.nilpotency_class} != p = {p}")
     if group.order > SUITE_ORDER_CAP:
         return _not_applicable(sid, f"order {group.order} above suite cap")
-    one = group.normalize([])
     elems = group.elements()
+    ns = _pn_range(group)
     checked = 0
     for a in elems:
+        a_pows = {n: group.power(a, p**n) for n in ns}
         for b in elems:
             comm = group.commutator(b, a)
-            for n in _pn_range(group):
-                q = p**n
-                c1 = group.power(comm, q) == one
-                c2 = group.commutator(b, group.power(a, q)) == one
-                c3 = group.commutator(group.power(b, q), a) == one
-                if not (c1 == c2 == c3):
-                    return SuiteReport(
-                        sid, True, False, "equivalence failed",
-                        f"a={a}, b={b}, n={n}: ({c1},{c2},{c3})",
-                    )
+            for n in ns:
+                bad = _equivalence_counterexample(group, a, b, comm, a_pows[n], n)
+                if bad is not None:
+                    return SuiteReport(sid, True, False, "equivalence failed", bad)
                 checked += 1
     return SuiteReport(sid, True, True, f"{checked} instances")
 

@@ -19,7 +19,9 @@ from .catalog import CatalogEntry, import_file, load_bundled
 from .multiplier import (
     DEFAULT_ORACLE_CAP,
     AbelianInvariants,
+    crosscheck_multiplier,
     exterior_exponent,
+    schur_cover,
     schur_multiplier,
 )
 from .pcgroup import EnumerationCapExceeded, GroupFlags, PcPresentation, group_of
@@ -67,25 +69,28 @@ def profile(
     flags = group.classify()
     p = pres.prime
     lcs = group.lower_central_series()
-    gamma2 = lcs[1] if len(lcs) > 1 else group.trivial_subgroup()
-    gamma2_exp = gamma2.exponent()
+    gamma2_exp = group.gamma2.exponent()
     central_quot_exp = group.exponent(modulo=group.center())
 
-    if group.order <= oracle_cap:
-        mult = schur_multiplier(pres, method="both", oracle_cap=oracle_cap)
-        crosscheck = "bar"
-    else:
-        mult = schur_multiplier(pres, method="tails")
-        crosscheck = f"skipped(order {group.order} exceeds oracle cap {oracle_cap})"
-
+    # One tails matrix and one cover group give M(G) and e(G∧G); only a cover
+    # too large to enumerate γ₂(H) needs M(G) computed on its own.
     ext: Optional[int]
     ext_skip: Optional[str]
     try:
-        ext = exterior_exponent(pres)
+        cover = schur_cover(pres)
+        mult = cover.multiplier
+        ext = exterior_exponent(pres, cover)
         ext_skip = None
     except EnumerationCapExceeded as exc:
+        mult = schur_multiplier(pres, method="tails")
         ext = None
         ext_skip = f"cover enumeration cap: {exc}"
+
+    if group.order <= oracle_cap:
+        mult = crosscheck_multiplier(pres, mult, oracle_cap=oracle_cap)
+        crosscheck = "bar"
+    else:
+        crosscheck = f"skipped(order {group.order} exceeds oracle cap {oracle_cap})"
 
     c = flags.nilpotency_class
     r8_m = r8_gamma = r8_quot = None

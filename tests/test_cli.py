@@ -109,3 +109,28 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "14"
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["multiplier", "--group", "heisenberg_5", "--method", "bar"], 2, "oracle cap"),
+        (["multiplier", "--group", "no_such_group"], 2, "no bundled group"),
+        (["cover", "--group", "no_such_group"], 2, "no bundled group"),
+        (["alpha", "--m", "1", "--n", "3"], 2, "alpha requires"),
+        (["identities", "--check", "L2.7", "--prime", "4"], 2, "unrecognized arguments"),
+        (["verify", "--rules", "R99"], 2, "unknown rules"),
+        (["verify", "--catalog", "{ngens_two}"], 2, "line 3: ngens"),
+        (["alpha", "--m", "3", "--n", "4"], 0, ""),
+    ],
+)
+def test_exit_codes_without_traceback(args, code, message, tmp_path):
+    bad = tmp_path / "ngens_two.cat"
+    bad.write_text("[group]\nname = x\nngens = two\norders = 2 2\n")
+    args = [a.format(ngens_two=bad) for a in args]
+    proc = subprocess.run(
+        [sys.executable, "-m", "schurlab.cli", *args], capture_output=True, text=True
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr

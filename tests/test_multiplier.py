@@ -85,7 +85,7 @@ def test_cover_laws(bundled):
         pres = bundled[name].presentation
         result = schur_cover(pres)
         group = group_of(pres)
-        cover = PcGroup(result.cover)  # consistency re-checked on construction
+        cover = PcGroup(result.cover)  # built apart from result.group
         assert cover.order == group.order * result.multiplier.order
         kernel = [cover.normalize([(g, e) for g, e in enumerate(w)])
                   for w in result.kernel_generators]

@@ -175,6 +175,10 @@ def test_parse_catalog_errors():
         )
     with pytest.raises(CatalogSyntaxError):
         parse_catalog("[group]\nname = y\norders = 4\nngens = 1\n")  # composite order
+    for line in ("ngens = two", "prime = p", "orders = 2 x"):
+        with pytest.raises(CatalogSyntaxError) as excinfo:
+            parse_catalog(f"[group]\nname = z\n{line}\n")
+        assert excinfo.value.lineno == 3
 
 
 def test_word_of():

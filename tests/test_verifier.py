@@ -149,3 +149,62 @@ def test_render_formats(catalog_run):
     assert csv.splitlines()[0] == "group,order,rule,status,witness"
     js = result.render("json")
     assert '"groups"' in js and '"summary"' in js
+
+
+def test_profile_does_each_piece_of_work_once(bundled, tmp_path, monkeypatch):
+    from schurlab import catalog, multiplier, pcgroup
+
+    counts = {"tails_matrix": 0, "PcGroup": 0}
+    checked = []
+    tails_matrix = multiplier.tails_matrix
+    pcgroup_init = pcgroup.PcGroup.__init__
+    check_consistency = pcgroup.check_consistency
+
+    def counted_tails_matrix(*args, **kwargs):
+        counts["tails_matrix"] += 1
+        return tails_matrix(*args, **kwargs)
+
+    def counted_init(self, *args, **kwargs):
+        counts["PcGroup"] += 1
+        pcgroup_init(self, *args, **kwargs)
+
+    def recorded_check(pres):
+        checked.append(pres)
+        return check_consistency(pres)
+
+    monkeypatch.setattr(multiplier, "tails_matrix", counted_tails_matrix)
+    monkeypatch.setattr(pcgroup.PcGroup, "__init__", counted_init)
+    monkeypatch.setattr(pcgroup, "check_consistency", recorded_check)
+
+    # fresh names keep the groups out of group_of's cache; heisenberg_3 runs
+    # the bar oracle, cyclic_125 is above its cap
+    names = ("heisenberg_3", "cyclic_125")
+    path = tmp_path / "fresh.cat"
+    path.write_text("".join(
+        dataclasses.replace(bundled[name].presentation, name=f"fresh_{name}").to_catalog_text()
+        for name in names
+    ))
+    entries = catalog.import_file(str(path))
+    assert len(checked) == len(names)
+    for entry in entries:
+        counts.update(tails_matrix=0, PcGroup=0)
+        prof = profile(entry.presentation)
+        assert counts == {"tails_matrix": 1, "PcGroup": 2}, entry.name  # G and its cover
+        assert checked[-1].name == f"{entry.name}.cover"
+    assert prof.multiplier_crosscheck.startswith("skipped")
+    assert len(checked) == 2 * len(names)
+    assert len(set(checked)) == len(checked)  # no presentation checked twice
+
+
+def test_cover_over_enumeration_cap_keeps_multiplier(bundled, monkeypatch):
+    from schurlab import verifier
+    from schurlab.pcgroup import EnumerationCapExceeded
+
+    def capped_cover(pres, tail_perm=None):
+        raise EnumerationCapExceeded(f"{pres.name}.cover: closure exceeds cap")
+
+    monkeypatch.setattr(verifier, "schur_cover", capped_cover)
+    prof = profile(bundled["heisenberg_3"].presentation, oracle_cap=0, with_suites=False)
+    assert prof.multiplier.torsion == (3, 3)
+    assert prof.exterior_exponent is None
+    assert prof.exterior_skip_reason.startswith("cover enumeration cap")
