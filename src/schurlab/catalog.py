@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import Optional
 
 from .pcgroup import PcError, PcPresentation, Violation, parse_catalog
 
@@ -96,9 +97,22 @@ def _check_entries(
     return entries
 
 
-def load_bundled() -> list[CatalogEntry]:
+def _bundled_presentations() -> list[PcPresentation]:
     text = resources.files("schurlab.data").joinpath("bundled.cat").read_text()
-    return _check_entries(parse_catalog(text), source="bundled", tag=True)
+    return parse_catalog(text)
+
+
+def load_bundled() -> list[CatalogEntry]:
+    return _check_entries(_bundled_presentations(), source="bundled", tag=True)
+
+
+def find_bundled(name: str) -> Optional[CatalogEntry]:
+    """The bundled group called ``name``, or None; only its presentation is
+    consistency-checked."""
+    for pres in _bundled_presentations():
+        if pres.name == name:
+            return _check_entries([pres], source="bundled", tag=True)[0]
+    return None
 
 
 def import_file(path: str) -> list[CatalogEntry]:

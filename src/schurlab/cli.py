@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .bounds import emit_tables
-from .catalog import CatalogError, load_bundled
+from .catalog import CatalogError, find_bundled
 from .identities import LEMMA_IDS, IdentityError, alpha, verify_collection_lemma
 from .multiplier import DEFAULT_ORACLE_CAP, OracleCapExceeded, exterior_exponent
 from .multiplier import schur_cover, schur_multiplier
@@ -19,10 +19,10 @@ class UsageError(Exception):
 
 
 def _find_presentation(name: str):
-    for entry in load_bundled():
-        if entry.name == name:
-            return entry.presentation
-    raise UsageError(f"no bundled group named {name!r}")
+    entry = find_bundled(name)
+    if entry is None:
+        raise UsageError(f"no bundled group named {name!r}")
+    return entry.presentation
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -39,7 +39,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         max_order=args.max_order,
         oracle_cap=args.oracle_cap,
         strict=args.strict,
-        fmt=args.format,
         jobs=args.jobs,
     )
     try:
@@ -78,9 +77,12 @@ def _cmd_identities(args: argparse.Namespace) -> int:
     unknown = [i for i in ids if i not in LEMMA_IDS]
     if unknown:
         raise UsageError(f"unknown identity ids {unknown}; valid: {', '.join(LEMMA_IDS)}")
+    try:
+        reports = [verify_collection_lemma(lemma_id, n_max=args.n_max) for lemma_id in ids]
+    except IdentityError as exc:
+        raise UsageError(exc) from None
     failed = False
-    for lemma_id in ids:
-        report = verify_collection_lemma(lemma_id, n_max=args.n_max)
+    for lemma_id, report in zip(ids, reports):
         status = "pass" if report.passed else "FAIL"
         line = f"{lemma_id}: {status} ({report.detail})"
         if not report.passed:

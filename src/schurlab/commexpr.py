@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .freenil import FreenilError, TruncatedSeries, group_commutator
+from .freenil import FreenilError, TruncatedSeries, right_normed
 
 
 class ExprError(FreenilError):
@@ -89,10 +89,7 @@ class Bracket(Expr):
     def evaluate(self, binding, n=None):
         if len(self.items) < 2:
             raise ExprError("bracket needs at least two items")
-        acc = self.items[-1].evaluate(binding, n)
-        for item in reversed(self.items[:-1]):
-            acc = group_commutator(item.evaluate(binding, n), acc)
-        return acc
+        return right_normed([item.evaluate(binding, n) for item in self.items])
 
     def __str__(self):
         return "[" + ",".join(str(i) for i in self.items) + "]"
@@ -108,7 +105,7 @@ class Power(Expr):
 
     def __str__(self):
         base = str(self.base)
-        if isinstance(self.base, (Product, Letter)) and isinstance(self.base, Product):
+        if isinstance(self.base, (Product, Power)):
             base = f"({base})"
         return f"{base}^({self.exponent})"
 

@@ -192,6 +192,14 @@ def group_commutator(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
     return u * v * u.inverse() * v.inverse()
 
 
+def right_normed(series: Sequence[TruncatedSeries]) -> TruncatedSeries:
+    """[s_1, s_2, ..., s_m] = [s_1, [s_2, ... [s_{m-1}, s_m]]]."""
+    acc = series[-1]
+    for s in reversed(series[:-1]):
+        acc = group_commutator(s, acc)
+    return acc
+
+
 # -- Hall basis ------------------------------------------------------------------
 
 
@@ -276,7 +284,6 @@ class HallBasis:
         self.commutators = tuple(commutators)
         self.by_weight = {w: tuple(v) for w, v in by_weight.items()}
         self._series_cache: dict[int, TruncatedSeries] = {}
-        self._solver_cache: dict[int, IntegerSolver] = {}
 
     def __len__(self):
         return len(self.commutators)
@@ -291,14 +298,6 @@ class HallBasis:
             self._series_cache[bc.position] = s
         return s
 
-    def _solver(self, w: int) -> IntegerSolver:
-        solver = self._solver_cache.get(w)
-        if solver is None:
-            columns = [self.series(bc).degree_part(w) for bc in self.by_weight[w]]
-            solver = IntegerSolver(self.k ** w, columns)
-            self._solver_cache[w] = solver
-        return solver
-
 
 def normal_form(s: TruncatedSeries, basis: HallBasis) -> list[int]:
     """Exponent vector (basis order) with s = prod C^{e_C}, weight-ascending
@@ -307,23 +306,11 @@ def normal_form(s: TruncatedSeries, basis: HallBasis) -> list[int]:
         raise FreenilError("series does not match basis context")
     if s.constant() != 1:
         raise NonIntegralExpansion("constant term is not 1")
-    exps: list[int] = []
-    residual = s
-    for w in range(1, basis.c + 1):
-        comp = residual.degree_part(w)
-        try:
-            coeffs = basis._solver(w).solve(comp)
-        except ValueError as exc:
-            raise NonIntegralExpansion(f"weight {w}: {exc}") from exc
-        exps.extend(coeffs)
-        block = TruncatedSeries.one(basis.k, basis.c)
-        for bc, e in zip(basis.by_weight[w], coeffs):
-            if e:
-                block = block * basis.series(bc).power(e)
-        residual = block.inverse() * residual
-    if not residual.is_one():
-        raise NonIntegralExpansion("nonzero residual above the class bound")
-    return exps
+    layers = [
+        (w, [basis.series(bc) for bc in basis.by_weight[w]])
+        for w in range(1, basis.c + 1)
+    ]
+    return [e for layer in expansion_exponents(s, layers, side="left") for e in layer]
 
 
 def product_of_basics(exps: Sequence[int], basis: HallBasis) -> TruncatedSeries:

@@ -6,13 +6,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Sequence
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Optional
 
-from . import commexpr, freenil
+from . import freenil
 from .commexpr import parse_expr
 from .freenil import (
-    BinomialPoly,
     FreenilError,
     HallBasis,
     TruncatedSeries,
@@ -20,6 +19,7 @@ from .freenil import (
     fit_binomial,
     group_commutator,
     normal_form,
+    right_normed,
     verify_identity,
 )
 
@@ -164,26 +164,51 @@ def _is_odd_prime(p: int) -> bool:
 @dataclass(frozen=True)
 class LemmaReport:
     lemma_id: str
-    params: dict
     passed: bool
     counterexample: Optional[str] = None
     detail: str = ""
+
+
+def _expect(failures: list[str], label: str, lhs, rhs) -> None:
+    if lhs != rhs:
+        failures.append(label)
+
+
+def _split_slot(
+    before: list[TruncatedSeries],
+    after: list[TruncatedSeries],
+    x: TruncatedSeries,
+    y: TruncatedSeries,
+) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """Both sides of [..., xy, ...] = [..., x, ...][..., y, ...] for the
+    right-normed commutator with ``before`` and ``after`` in the other slots."""
+    return (
+        right_normed([*before, x * y, *after]),
+        right_normed([*before, x, *after]) * right_normed([*before, y, *after]),
+    )
 
 
 def _gen(k, c, i):
     return TruncatedSeries.generator(k, c, i)
 
 
-def _rcomm(series: Sequence[TruncatedSeries]) -> TruncatedSeries:
-    """Right-normed commutator of a list of series."""
-    acc = series[-1]
-    for s in reversed(series[:-1]):
-        acc = group_commutator(s, acc)
-    return acc
-
-
 def _conj(x: TruncatedSeries, w: TruncatedSeries) -> TruncatedSeries:
     return x * w * x.inverse()
+
+
+def _bind_weight(c: int, w: int, flavor: int = 0) -> TruncatedSeries:
+    """An element of weight w in the free class-c group on a, b: a or b
+    (chosen by ``flavor``) at weight 1, [b, a] at 2 and [a, [b, a]] at 3."""
+    a = _gen(2, c, 0)
+    b = _gen(2, c, 1)
+    if w == 1:
+        return (a, b)[flavor % 2]
+    ba = group_commutator(b, a)
+    if w == 2:
+        return ba
+    if w == 3:
+        return group_commutator(a, ba)
+    raise IdentityError(f"unsupported binding weight {w}")
 
 
 # The class-5 collection of (ab)^n with conjugation on the left; the product
@@ -223,414 +248,258 @@ L41_III_RHS = (
     "[a,b,a]^C(n,2) [b,a]^n"
 )
 
+# The factors of the class-5 collection product, one tuple per weight 1..5.
+L41_FACTORS = (
+    ("a", "b"),
+    ("[b,a]",),
+    ("[a,b,a]", "[b,b,a]"),
+    ("[a,a,b,a]", "[a,b,b,a]", "[b,b,b,a]"),
+    (
+        "[[b,a],a,b,a]",
+        "[[b,a],b,b,a]",
+        "[a,a,a,b,a]",
+        "[a,a,b,b,a]",
+        "[a,b,b,b,a]",
+        "[b,b,b,b,a]",
+    ),
+)
 
-def _l41_layers(k: int, c: int) -> list[tuple[int, list[TruncatedSeries]]]:
+
+@lru_cache(maxsize=None)
+def _l41_layers() -> tuple[tuple[int, tuple[TruncatedSeries, ...]], ...]:
     """Factor layers of the class-5 collection product, ascending weight."""
-    a = _gen(k, c, 0)
-    b = _gen(k, c, 1)
-    ba = group_commutator(b, a)
-
-    def rc(*xs):
-        return _rcomm(list(xs))
-
-    return [
-        (1, [a, b]),
-        (2, [ba]),
-        (3, [rc(a, b, a), rc(b, b, a)]),
-        (4, [rc(a, a, b, a), rc(a, b, b, a), rc(b, b, b, a)]),
-        (
-            5,
-            [
-                rc(ba, a, b, a),
-                rc(ba, b, b, a),
-                rc(a, a, a, b, a),
-                rc(a, a, b, b, a),
-                rc(a, b, b, b, a),
-                rc(b, b, b, b, a),
-            ],
-        ),
-    ]
+    binding = freenil.default_binding(2, 5)
+    return tuple(
+        (w, tuple(parse_expr(name).evaluate(binding) for name in names))
+        for w, names in enumerate(L41_FACTORS, start=1)
+    )
 
 
 def collection_exponents_class5(n: int) -> dict[str, int]:
     """Exponents of the paper-ordered class-5 collection factors of (ab)^n,
     recovered by peeling the product from the right."""
-    k, c = 2, 5
-    a = _gen(k, c, 0)
-    b = _gen(k, c, 1)
-    s = (a * b).power(n)
-    layers = _l41_layers(k, c)
-    exps = expansion_exponents(s, layers, side="right")
-    names = [
-        ["a", "b"],
-        ["[b,a]"],
-        ["[a,b,a]", "[b,b,a]"],
-        ["[a,a,b,a]", "[a,b,b,a]", "[b,b,b,a]"],
-        [
-            "[[b,a],a,b,a]",
-            "[[b,a],b,b,a]",
-            "[a,a,a,b,a]",
-            "[a,a,b,b,a]",
-            "[a,b,b,b,a]",
-            "[b,b,b,b,a]",
-        ],
-    ]
-    out = {}
-    for layer_names, layer_exps in zip(names, exps):
-        for name, e in zip(layer_names, layer_exps):
-            out[name] = e
-    return out
+    s = (_gen(2, 5, 0) * _gen(2, 5, 1)).power(n)
+    exps = expansion_exponents(s, _l41_layers(), side="right")
+    return {
+        name: e
+        for names, layer in zip(L41_FACTORS, exps)
+        for name, e in zip(names, layer)
+    }
 
 
-def _check_l41(part: str, n_max: int) -> LemmaReport:
+def _check_l41(part: str, ns: range) -> list[str]:
+    binding = None
     if part == "i":
-        lhs, rhs, k, c = "(a b)^n", L41_I_RHS, 2, 5
-        binding = None
+        lhs, rhs, c = "(a b)^n", L41_I_RHS, 5
     elif part == "ii":
-        lhs, rhs, k, c = "(a b)^n", L41_II_RHS, 2, 6
-        binding = freenil.default_binding(2, 6)
+        lhs, rhs, c = "(a b)^n", L41_II_RHS, 6
         # a must lie in the commutator subgroup: bind it to [b', a'] of the
         # free group on two letters
         x = _gen(2, 6, 0)
         y = _gen(2, 6, 1)
         binding = {"a": group_commutator(y, x), "b": y}
-    elif part == "iii":
-        lhs, rhs, k, c = "[b, a^n]", L41_III_RHS, 2, 6
-        binding = None
-    else:
-        raise IdentityError(f"unknown part {part!r}")
-    report = verify_identity(
-        parse_expr(lhs), parse_expr(rhs), k, c, range(1, n_max + 1), binding=binding
-    )
-    return LemmaReport(
-        lemma_id=f"L4.1{part}",
-        params={"n_max": n_max},
-        passed=report.passed,
-        counterexample=None if report.passed else str(report.counterexample),
-    )
+    else:  # "iii"
+        lhs, rhs, c = "[b, a^n]", L41_III_RHS, 6
+    report = verify_identity(parse_expr(lhs), parse_expr(rhs), 2, c, ns, binding=binding)
+    return [] if report.passed else [str(report.counterexample)]
 
 
-def _check_l27() -> LemmaReport:
-    failures = []
+def _check_l27() -> list[str]:
+    failures: list[str] = []
     # (i): the two expansion identities, class 4 on 3 letters, several bindings
     for c in (3, 4):
         base = freenil.default_binding(3, c)
         x, y, z = base["a"], base["b"], base["c"]
-        bindings = [
-            {"g": x, "g1": y, "h": z},
-            {"g": x * y, "g1": z * x, "h": y},
-            {"g": group_commutator(x, y), "g1": z, "h": x * z},
-        ]
-        for bind in bindings:
-            g, g1, h = bind["g"], bind["g1"], bind["h"]
-            lhs = group_commutator(g * g1, h)
-            rhs = (
-                _rcomm([g, g1, h])
-                * group_commutator(g1, h)
-                * group_commutator(g, h)
+        for g, g1, h in [(x, y, z), (x * y, z * x, y), (group_commutator(x, y), z, x * z)]:
+            _expect(
+                failures,
+                f"eq1 at class {c}",
+                group_commutator(g * g1, h),
+                right_normed([g, g1, h]) * group_commutator(g1, h) * group_commutator(g, h),
             )
-            if lhs != rhs:
-                failures.append(f"eq1 at class {c}")
-            lhs2 = group_commutator(g, h * g1)
-            rhs2 = (
-                group_commutator(g, h)
-                * _rcomm([h, g, g1])
-                * group_commutator(g, g1)
+            _expect(
+                failures,
+                f"eq2 at class {c}",
+                group_commutator(g, h * g1),
+                group_commutator(g, h) * right_normed([h, g, g1]) * group_commutator(g, g1),
             )
-            if lhs2 != rhs2:
-                failures.append(f"eq2 at class {c}")
     # (ii): ^x[y,z] = [y,z] when i+j+k >= c+1
-    def pick(c, w, flavor=0):
-        base = freenil.default_binding(2, c)
-        a, b = base["a"], base["b"]
-        if w == 1:
-            return (a, b)[flavor % 2]
-        ba = group_commutator(b, a)
-        if w == 2:
-            return ba
-        return group_commutator(a, ba)
-
     for c, wi, wj, wk in ((4, 2, 1, 2), (4, 1, 2, 2), (5, 2, 2, 2)):
-        x, y, z = pick(c, wi), pick(c, wj, 1), pick(c, wk)
+        x, y, z = _bind_weight(c, wi), _bind_weight(c, wj, 1), _bind_weight(c, wk)
         comm = group_commutator(y, z)
-        if _conj(x, comm) != comm:
-            failures.append(f"(ii) weights ({wi},{wj},{wk}), c={c}")
+        _expect(failures, f"(ii) weights ({wi},{wj},{wk}), c={c}", _conj(x, comm), comm)
     # (iii): [x,y] and [z,u] commute when i+j+k+l >= c+1
     for c, wi, wj, wk, wl in ((4, 1, 2, 1, 2), (4, 2, 1, 1, 2), (5, 1, 2, 2, 1)):
-        x, y = pick(c, wi), pick(c, wj, 1)
-        z, u = pick(c, wk, 1), pick(c, wl)
-        left = group_commutator(x, y) * group_commutator(z, u)
-        right = group_commutator(z, u) * group_commutator(x, y)
-        if left != right:
-            failures.append(f"(iii) weights ({wi},{wj},{wk},{wl}), c={c}")
-    return LemmaReport(
-        lemma_id="L2.7",
-        params={},
-        passed=not failures,
-        counterexample="; ".join(failures) or None,
-    )
+        x, y = _bind_weight(c, wi), _bind_weight(c, wj, 1)
+        z, u = _bind_weight(c, wk, 1), _bind_weight(c, wl)
+        _expect(
+            failures,
+            f"(iii) weights ({wi},{wj},{wk},{wl}), c={c}",
+            group_commutator(x, y) * group_commutator(z, u),
+            group_commutator(z, u) * group_commutator(x, y),
+        )
+    return failures
 
 
-def _check_l28() -> LemmaReport:
-    failures = []
+def _check_l28() -> list[str]:
+    failures: list[str] = []
 
     # (i)/(ii) at r=2, class 5, weights (1,1,2,2); (iii) at r=2 with ab between
     base = freenil.default_binding(2, 5)
-    x, y = base["a"], base["b"]
-    yx = group_commutator(y, x)
-    a, b = x, y
-    g2, g1 = yx, yx
-    lhs = _rcomm([a * b, g2, g1])
-    rhs = _rcomm([a, g2, g1]) * _rcomm([b, g2, g1])
-    if lhs != rhs:
-        failures.append("(i) r=2 c=5")
-    lhs = _rcomm([g2, g1, a * b])
-    rhs = _rcomm([g2, g1, a]) * _rcomm([g2, g1, b])
-    if lhs != rhs:
-        failures.append("(ii) r=2 c=5")
-    lhs = _rcomm([g2, a * b, g1])
-    rhs = _rcomm([g2, a, g1]) * _rcomm([g2, b, g1])
-    if lhs != rhs:
-        failures.append("(iii) r=2 c=5")
+    a, b = base["a"], base["b"]
+    g = group_commutator(b, a)
+    _expect(failures, "(i) r=2 c=5", *_split_slot([], [g, g], a, b))
+    _expect(failures, "(ii) r=2 c=5", *_split_slot([g, g], [], a, b))
+    _expect(failures, "(iii) r=2 c=5", *_split_slot([g], [g], a, b))
 
     # r=3, class 4, all weight one on 3 letters
     base3 = freenil.default_binding(3, 4)
     x, y, z = base3["a"], base3["b"], base3["c"]
     for a, b, gs in [
-        (x, y, (z, x, y)),
-        (y, z, (x, x, z)),
+        (x, y, [z, x, y]),
+        (y, z, [x, x, z]),
     ]:
-        lhs = _rcomm([a * b, *gs])
-        rhs = _rcomm([a, *gs]) * _rcomm([b, *gs])
-        if lhs != rhs:
-            failures.append("(i) r=3 c=4")
-        lhs = _rcomm([*gs, a * b])
-        rhs = _rcomm([*gs, a]) * _rcomm([*gs, b])
-        if lhs != rhs:
-            failures.append("(ii) r=3 c=4")
-        g3, g2, g1 = gs
-        lhs = _rcomm([g3, g2, a * b, g1])
-        rhs = _rcomm([g3, g2, a, g1]) * _rcomm([g3, g2, b, g1])
-        if lhs != rhs:
-            failures.append("(iii) r=3 c=4 inner")
-    return LemmaReport(
-        lemma_id="L2.8",
-        params={},
-        passed=not failures,
-        counterexample="; ".join(failures) or None,
-    )
+        _expect(failures, "(i) r=3 c=4", *_split_slot([], gs, a, b))
+        _expect(failures, "(ii) r=3 c=4", *_split_slot(gs, [], a, b))
+        _expect(failures, "(iii) r=3 c=4 inner", *_split_slot(gs[:2], gs[2:], a, b))
+    return failures
 
 
-def _check_c29() -> LemmaReport:
+def _check_c29() -> list[str]:
     """Weight-c commutators are multiplicative in each coordinate (class c)."""
-    failures = []
+    failures: list[str] = []
     c = 4
     base = freenil.default_binding(3, c)
     x, y, z = base["a"], base["b"], base["c"]
     slots = [x, y, x, z]
     for pos in range(c):
         for a, b in [(x, y), (y * z, x)]:
-            with_prod = list(slots)
-            with_prod[pos] = a * b
-            first = list(slots)
-            first[pos] = a
-            second = list(slots)
-            second[pos] = b
-            if _rcomm(with_prod) != _rcomm(first) * _rcomm(second):
-                failures.append(f"slot {pos}")
-    return LemmaReport(
-        lemma_id="C2.9",
-        params={"c": c},
-        passed=not failures,
-        counterexample="; ".join(failures) or None,
-    )
+            _expect(failures, f"slot {pos}", *_split_slot(slots[:pos], slots[pos + 1 :], a, b))
+    return failures
 
 
 _L210_CASES = [(1, 1, 3), (1, 1, 4), (1, 2, 5), (2, 1, 5)]
 
 
-def _bind_weight(k: int, c: int, w: int, flavor: int = 0) -> TruncatedSeries:
-    x = _gen(k, c, 0)
-    y = _gen(k, c, 1)
-    if w == 1:
-        return (x, y)[flavor % 2]
-    if w == 2:
-        return group_commutator(y, x)
-    raise IdentityError(f"unsupported binding weight {w}")
-
-
-def _check_l210(part: str, n_max: int = 15) -> LemmaReport:
-    failures = []
+def _check_l210(part: str, ns: range) -> list[str]:
+    """(i) [b^n, a] and (ii) [b, a^n], each checked against
+    prod_{t=top..1} [_t x, b, a]^C(n,t+1) [b,a]^n with x the letter raised to
+    the n: top = n-1 in full, and r-2 in the "moreover" form."""
+    failures: list[str] = []
     for i, j, c in _L210_CASES:
-        a = _bind_weight(2, c, i, flavor=0)
-        b = _bind_weight(2, c, j, flavor=1)
-        if i == 1 and j == 1:
-            a, b = _gen(2, c, 0), _gen(2, c, 1)
-        for n in range(1, n_max + 1):
+        a = _bind_weight(c, i)
+        b = _bind_weight(c, j, flavor=1)
+        x, wx, wy = (b, j, i) if part == "i" else (a, i, j)
+        if 3 * wx + 2 * wy < c + 1:
+            continue
+        r = -(-(c + 1 - wy) // wx)  # least r with wy + r wx >= c+1
+        ba = group_commutator(b, a)
+        term = lru_cache(maxsize=None)(lambda t: right_normed([x] * t + [b, a]))
+        for n in ns:
             if part == "i":
-                if not (2 * i + 3 * j >= c + 1):
-                    continue
                 lhs = group_commutator(b.power(n), a)
-                rhs = TruncatedSeries.one(2, c)
-                for t in range(n, 1, -1):
-                    rhs = rhs * _rcomm([b] * t + [a]).power(math.comb(n, t))
-                rhs = rhs * group_commutator(b, a).power(n)
-                if lhs != rhs:
-                    failures.append(f"(i) (i,j,c)=({i},{j},{c}) n={n}")
-                # "moreover": truncate at t = r-1 where i + r j >= c+1
-                r = -(-(c + 1 - i) // j)
-                rhs2 = TruncatedSeries.one(2, c)
-                for t in range(r - 1, 1, -1):
-                    rhs2 = rhs2 * _rcomm([b] * t + [a]).power(math.comb(n, t))
-                rhs2 = rhs2 * group_commutator(b, a).power(n)
-                if lhs != rhs2:
-                    failures.append(f"(i) moreover (i,j,c)=({i},{j},{c}) n={n}")
             else:
-                if not (3 * i + 2 * j >= c + 1):
-                    continue
                 lhs = group_commutator(b, a.power(n))
+            for form, top in (("", n - 1), (" moreover", r - 2)):
                 rhs = TruncatedSeries.one(2, c)
-                for t in range(n - 1, 0, -1):
-                    rhs = rhs * _rcomm([a] * t + [b, a]).power(math.comb(n, t + 1))
-                rhs = rhs * group_commutator(b, a).power(n)
-                if lhs != rhs:
-                    failures.append(f"(ii) (i,j,c)=({i},{j},{c}) n={n}")
-                r = -(-(c + 1 - j) // i)
-                rhs2 = TruncatedSeries.one(2, c)
-                for t in range(r - 2, 0, -1):
-                    rhs2 = rhs2 * _rcomm([a] * t + [b, a]).power(math.comb(n, t + 1))
-                rhs2 = rhs2 * group_commutator(b, a).power(n)
-                if lhs != rhs2:
-                    failures.append(f"(ii) moreover (i,j,c)=({i},{j},{c}) n={n}")
-    return LemmaReport(
-        lemma_id=f"L2.10{part}",
-        params={"cases": _L210_CASES, "n_max": n_max},
-        passed=not failures,
-        counterexample="; ".join(failures[:4]) or None,
-    )
+                for t in range(top, 0, -1):
+                    rhs = rhs * term(t).power(math.comb(n, t + 1))
+                rhs = rhs * ba.power(n)
+                _expect(failures, f"({part}){form} (i,j,c)=({i},{j},{c}) n={n}", lhs, rhs)
+    return failures
 
 
-def _check_l212(n_max: int = 15) -> LemmaReport:
+def _check_l212() -> list[str]:
     """Every basis exponent of (ab)^n is a binomial polynomial of degree
     bounded by the commutator weight."""
     k, c = 2, 5
     basis = HallBasis(k, c)
-    a = _gen(k, c, 0)
-    b = _gen(k, c, 1)
-    samples = {n: normal_form((a * b).power(n), basis) for n in range(1, n_max + 1)}
+    ab = _gen(k, c, 0) * _gen(k, c, 1)
+    sample = lru_cache(maxsize=None)(lambda n: normal_form(ab.power(n), basis))
     failures = []
     for pos, bc in enumerate(basis.commutators):
         try:
-            fit_binomial(lambda n, p=pos: samples[n][p], bc.weight)
+            fit_binomial(lambda n, p=pos: sample(n)[p], bc.weight)
         except FreenilError as exc:
             failures.append(f"{bc}: {exc}")
-    return LemmaReport(
-        lemma_id="L2.12",
-        params={"k": k, "c": c},
-        passed=not failures,
-        counterexample="; ".join(failures[:3]) or None,
-    )
+    return failures
 
 
-def _check_r213(t_max: int = 4) -> LemmaReport:
+def _check_r213(t_max: int = 4) -> list[str]:
     """The collection exponent of [_t b, a] in (ab)^n is C(n, t+1)."""
     failures = []
-    cache: dict[int, dict[str, int]] = {}
-
-    def exps(n: int) -> dict[str, int]:
-        if n not in cache:
-            cache[n] = collection_exponents_class5(n)
-        return cache[n]
-
+    exps = lru_cache(maxsize=None)(collection_exponents_class5)
     for t in range(1, t_max + 1):
         name = "[" + ",".join(["b"] * t + ["a"]) + "]"
         poly = fit_binomial(lambda n: exps(n)[name], t + 1)
-        if poly.as_dict() != {t + 1: 1}:
-            failures.append(f"t={t}: got {poly}")
-    return LemmaReport(
-        lemma_id="R2.13",
-        params={"t_max": t_max},
-        passed=not failures,
-        counterexample="; ".join(failures) or None,
-    )
+        _expect(failures, f"t={t}: got {poly}", poly.as_dict(), {t + 1: 1})
+    return failures
 
 
-def _check_l38(n_max: int = 12) -> LemmaReport:
+def _check_l38(ns: range) -> list[str]:
     failures = []
-    for n in range(3, n_max + 1):
+    for n in ns:
         for m in range(3, n + 1):
-            lhs = alpha(m, n)
             rhs = sum(math.comb(n, k) * alpha(m - 1, k) for k in range(m - 1, n))
-            if lhs != rhs:
-                failures.append(f"(m,n)=({m},{n})")
-    return LemmaReport(
-        lemma_id="L3.8",
-        params={"n_max": n_max},
-        passed=not failures,
-        counterexample="; ".join(failures) or None,
-    )
+            _expect(failures, f"(m,n)=({m},{n})", alpha(m, n), rhs)
+    return failures
 
 
-def _check_t39chain(primes=(3, 5, 7, 11)) -> LemmaReport:
+def _check_t39chain(primes=(3, 5, 7, 11)) -> list[str]:
     failures = []
     for p in primes:
         chain = er_chain(p)
         final = chain[-1]
         expected = tuple([0] * (p - 2) + [math.factorial(p - 1)])
-        if final != expected:
-            failures.append(f"p={p}: final {final}")
+        _expect(failures, f"p={p}: final {final}", final, expected)
         for m, vec in enumerate(chain[1:], start=2):
             for k in range(1, p):
                 want = alpha(m, k) if k >= m else 0
-                if vec[k - 1] != want:
-                    failures.append(f"p={p} m={m} k={k}: {vec[k - 1]} != {want}")
-    return LemmaReport(
-        lemma_id="T3.9chain",
-        params={"primes": tuple(primes)},
-        passed=not failures,
-        counterexample="; ".join(failures[:4]) or None,
-    )
+                _expect(failures, f"p={p} m={m} k={k}: {vec[k - 1]} != {want}", vec[k - 1], want)
+    return failures
 
 
-LEMMA_IDS = (
-    "L2.7",
-    "L2.8",
-    "C2.9",
-    "L2.10i",
-    "L2.10ii",
-    "L2.12",
-    "R2.13",
-    "L3.8",
-    "L4.1i",
-    "L4.1ii",
-    "L4.1iii",
-    "T3.9chain",
-)
+class _Lemma(NamedTuple):
+    check: Callable[..., list[str]]  # returns the labels of the failed cases
+    n_range: Optional[tuple[int, float]] = None  # (first n, largest n) checked
+    shown: Optional[int] = None  # failure labels kept in the counterexample
+
+
+_LEMMAS = {
+    "L2.7": _Lemma(_check_l27),
+    "L2.8": _Lemma(_check_l28),
+    "C2.9": _Lemma(_check_c29),
+    "L2.10i": _Lemma(partial(_check_l210, "i"), (1, 15), shown=4),
+    "L2.10ii": _Lemma(partial(_check_l210, "ii"), (1, 15), shown=4),
+    "L2.12": _Lemma(_check_l212, shown=3),
+    "R2.13": _Lemma(_check_r213),
+    "L3.8": _Lemma(_check_l38, (3, 12)),
+    "L4.1i": _Lemma(partial(_check_l41, "i"), (1, math.inf)),
+    "L4.1ii": _Lemma(partial(_check_l41, "ii"), (1, math.inf)),
+    "L4.1iii": _Lemma(partial(_check_l41, "iii"), (1, math.inf)),
+    "T3.9chain": _Lemma(_check_t39chain, shown=4),
+}
+
+LEMMA_IDS = tuple(_LEMMAS)
 
 
 def verify_collection_lemma(lemma_id: str, n_max: int = 20) -> LemmaReport:
-    if lemma_id == "L2.7":
-        return _check_l27()
-    if lemma_id == "L2.8":
-        return _check_l28()
-    if lemma_id == "C2.9":
-        return _check_c29()
-    if lemma_id == "L2.10i":
-        return _check_l210("i", min(n_max, 15))
-    if lemma_id == "L2.10ii":
-        return _check_l210("ii", min(n_max, 15))
-    if lemma_id == "L2.12":
-        return _check_l212(min(n_max, 15))
-    if lemma_id == "R2.13":
-        return _check_r213()
-    if lemma_id == "L3.8":
-        return _check_l38(min(n_max, 12))
-    if lemma_id == "L4.1i":
-        return _check_l41("i", n_max)
-    if lemma_id == "L4.1ii":
-        return _check_l41("ii", n_max)
-    if lemma_id == "L4.1iii":
-        return _check_l41("iii", n_max)
-    if lemma_id == "T3.9chain":
-        return _check_t39chain()
-    raise IdentityError(f"unknown lemma id {lemma_id!r}")
+    """Run one lemma's check; a lemma with an n range is checked for n from
+    its first n up to min(n_max, its largest n)."""
+    try:
+        lemma = _LEMMAS[lemma_id]
+    except KeyError:
+        raise IdentityError(f"unknown lemma id {lemma_id!r}") from None
+    if lemma.n_range is None:
+        failures = lemma.check()
+    else:
+        first, largest = lemma.n_range
+        last = min(n_max, largest)
+        if last < first:
+            raise IdentityError(f"{lemma_id} checks n >= {first}; n_max = {n_max} leaves no n")
+        failures = lemma.check(range(first, last + 1))
+    return LemmaReport(
+        lemma_id=lemma_id,
+        passed=not failures,
+        counterexample="; ".join(failures[: lemma.shown]) or None,
+    )

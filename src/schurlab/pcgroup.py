@@ -859,6 +859,10 @@ def parse_catalog(text: str) -> list[PcPresentation]:
             raise CatalogSyntaxError(start_line, f"{name}: missing ngens/orders")
         if len(orders) != ngens:
             raise CatalogSyntaxError(start_line, f"{name}: orders count != ngens")
+        for lineno, w in sorted([*power_words.values(), *comm_words.values()]):
+            for g, e in w:
+                if e >= orders[g]:
+                    raise CatalogSyntaxError(lineno, f"exponent {e} >= order of g{g + 1}")
         try:
             pres = make_presentation(
                 name,
@@ -869,10 +873,5 @@ def parse_catalog(text: str) -> list[PcPresentation]:
             )
         except PcError as exc:
             raise CatalogSyntaxError(start_line, str(exc)) from exc
-        # exponent-range validation against declared orders, with line numbers
-        for i, (lineno, w) in power_words.items():
-            for g, e in w:
-                if e >= orders[g]:
-                    raise CatalogSyntaxError(lineno, f"exponent {e} >= order of g{g + 1}")
         presentations.append(pres)
     return presentations

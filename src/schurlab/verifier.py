@@ -104,7 +104,7 @@ def profile(
 
     suites = tuple(run_suites(group, flags)) if with_suites else ()
 
-    prof = GroupProfile(
+    return GroupProfile(
         name=pres.name,
         order=group.order,
         prime=p,
@@ -123,13 +123,6 @@ def profile(
         r8_quotient_exponent=r8_quot,
         suites=suites,
     )
-    if ext is not None:
-        if ext % mult.exponent or ext % gamma2_exp:
-            raise AssertionError(
-                f"{pres.name}: exterior exponent {ext} not divisible by "
-                f"exp(M)={mult.exponent} and exp(gamma2)={gamma2_exp}"
-            )
-    return prof
 
 
 def _divides(a: int, b: int) -> bool:
@@ -306,7 +299,6 @@ class RunConfig:
     max_order: Optional[int] = None
     oracle_cap: int = DEFAULT_ORACLE_CAP
     strict: bool = False
-    fmt: str = "text"  # text | json | csv
     jobs: int = 1
     include_bundled: bool = True
 

@@ -54,6 +54,22 @@ def test_identities_unknown_id(capsys):
     assert "unknown identity" in err
 
 
+def test_group_lookup_checks_only_that_group(monkeypatch, capsys):
+    from schurlab import pcgroup
+
+    checked = []
+    real = pcgroup.check_consistency
+
+    def counting(pres):
+        checked.append(pres.name)
+        return real(pres)
+
+    monkeypatch.setattr(pcgroup, "check_consistency", counting)
+    code, out, _ = run_cli(["multiplier", "--group", "heisenberg_3"], capsys)
+    assert code == 0
+    assert checked == ["heisenberg_3"]
+
+
 def test_verify_json(capsys):
     code, out, _ = run_cli(
         ["verify", "--max-order", "16", "--format", "json"], capsys
@@ -122,6 +138,8 @@ def test_console_script_runs():
         (["verify", "--rules", "R99"], 2, "unknown rules"),
         (["verify", "--catalog", "{ngens_two}"], 2, "line 3: ngens"),
         (["alpha", "--m", "3", "--n", "4"], 0, ""),
+        (["identities", "--n-max", "10"], 0, ""),
+        (["identities", "--n-max", "0"], 2, "leaves no n"),
     ],
 )
 def test_exit_codes_without_traceback(args, code, message, tmp_path):

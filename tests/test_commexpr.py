@@ -60,3 +60,9 @@ def test_parse_errors():
 def test_exppoly_str_roundtrip():
     poly = ExpPoly(((0, -1), (1, 2), (3, 1)))
     assert str(poly) == "-1+2n+C(n,3)"
+
+
+def test_expr_str_roundtrip():
+    for text in ("(a b)^n", "(a^2)^3", "[[b,a],a,b,a]^(C(n,3)+2C(n,4)) a^n b^n"):
+        expr = parse_expr(text)
+        assert parse_expr(str(expr)) == expr

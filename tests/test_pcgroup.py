@@ -179,6 +179,10 @@ def test_parse_catalog_errors():
         with pytest.raises(CatalogSyntaxError) as excinfo:
             parse_catalog(f"[group]\nname = z\n{line}\n")
         assert excinfo.value.lineno == 3
+    for line in ("pow 1 : g2^5", "comm 2 1 : g3^3"):  # exponents beyond the orders
+        with pytest.raises(CatalogSyntaxError) as excinfo:
+            parse_catalog(f"[group]\nname = w\nngens = 3\norders = 3 3 3\n{line}\n")
+        assert excinfo.value.lineno == 5
 
 
 def test_word_of():

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +209,8 @@ def test_cover_over_enumeration_cap_keeps_multiplier(bundled, monkeypatch):
     assert prof.multiplier.torsion == (3, 3)
     assert prof.exterior_exponent is None
     assert prof.exterior_skip_reason.startswith("cover enumeration cap")
+
+
+def test_bundle_json_matches_reference(catalog_run):
+    reference = Path(__file__).parents[1] / "perfbench" / "reference" / "verify_bundle.json"
+    assert catalog_run(1).render("json") + "\n" == reference.read_text()
