@@ -8,8 +8,8 @@ import sys
 from .bounds import emit_tables
 from .catalog import CatalogError, find_bundled
 from .identities import LEMMA_IDS, IdentityError, alpha, verify_collection_lemma
-from .multiplier import DEFAULT_ORACLE_CAP, OracleCapExceeded, exterior_exponent
-from .multiplier import schur_cover, schur_multiplier
+from .multiplier import DEFAULT_ORACLE_CAP, ORACLE_HARD_CAP, OracleCapExceeded
+from .multiplier import exterior_exponent, schur_cover, schur_multiplier
 from .pcgroup import PcError
 from .verifier import RULE_IDS, RunConfig, run
 
@@ -26,6 +26,11 @@ def _find_presentation(name: str):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if not 0 <= args.oracle_cap <= ORACLE_HARD_CAP:
+        raise UsageError(
+            f"--oracle-cap {args.oracle_cap}: must lie in 0..{ORACLE_HARD_CAP}, "
+            "the bar oracle's hard limit"
+        )
     if args.rules == "all":
         rules = None
     else:

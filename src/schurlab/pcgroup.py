@@ -354,6 +354,10 @@ class Subgroup:
         return self.order == 1
 
     def exponent(self) -> int:
+        return self._exponent
+
+    @cached_property
+    def _exponent(self) -> int:
         e = 1
         for w in self.elements:
             e = math.lcm(e, self.group.element_order(w))
@@ -378,8 +382,9 @@ class PcGroup:
 
     All element operations are word-level (no index tables); small groups get
     an unbounded product memo so closure-heavy analyses amortize to dict hits.
-    The lower central and derived series, the center, γ₂ and exponents are
-    computed once and kept; γ₂ is enumerated without enumerating the group.
+    The lower central and derived series, the center, γ₂, exponents and the
+    k-th power sets and subgroups are computed once and kept; γ₂ is enumerated
+    without enumerating the group.
     """
 
     MEMO_ORDER_LIMIT = 4096
@@ -398,6 +403,8 @@ class PcGroup:
         self._ocache: dict[NormalWord, int] = {}
         self._icache: dict[NormalWord, NormalWord] = {}
         self._exponents: dict[Optional[frozenset[NormalWord]], int] = {}
+        self._power_sets: dict[int, frozenset[NormalWord]] = {}
+        self._power_subgroups: dict[int, Subgroup] = {}
         self._order_prime_factors = sorted(set(pres.relative_orders))
 
     # -- basic arithmetic ---------------------------------------------------
@@ -598,13 +605,20 @@ class PcGroup:
         return Subgroup(self, tuple(central), frozenset(central))
 
     def power_subgroup(self, k: int) -> Subgroup:
-        powers = {self.power(w, k) for w in self.elements()}
-        powers.discard(self.identity)
-        return self.subgroup(sorted(powers))
+        """G^k = <x^k : x in G>, built once per k."""
+        sub = self._power_subgroups.get(k)
+        if sub is None:
+            sub = self.subgroup(sorted(self.power_set(k) - {self.identity}))
+            self._power_subgroups[k] = sub
+        return sub
 
     def power_set(self, k: int) -> frozenset[NormalWord]:
-        """The bare set {x^k : x in G} (not necessarily a subgroup)."""
-        return frozenset(self.power(w, k) for w in self.elements())
+        """The bare set {x^k : x in G} (not necessarily a subgroup), built once per k."""
+        powers = self._power_sets.get(k)
+        if powers is None:
+            powers = frozenset(self.power(w, k) for w in self.elements())
+            self._power_sets[k] = powers
+        return powers
 
     def exponent(self, modulo: Optional[Subgroup] = None) -> int:
         key = None if modulo is None else modulo.elements
@@ -765,6 +779,8 @@ def _parse_word(tokens: str, lineno: int, ngens: int) -> Word:
             raise CatalogSyntaxError(lineno, f"generator g{g} out of range (ngens={ngens})")
         if e < 1:
             raise CatalogSyntaxError(lineno, f"exponent must be >= 1 in {tok!r}")
+        if out and g - 1 <= out[-1][0]:
+            raise CatalogSyntaxError(lineno, f"indices must be strictly increasing at {tok!r}")
         out.append((g - 1, e))
     return tuple(out)
 
@@ -831,6 +847,8 @@ def parse_catalog(text: str) -> list[PcPresentation]:
                         raise CatalogSyntaxError(
                             lineno, f"pow {i} word references g{g + 1} (must exceed {i})"
                         )
+                if i - 1 in power_words:
+                    raise CatalogSyntaxError(lineno, f"repeated pow {i}")
                 power_words[i - 1] = (lineno, word)
                 continue
             m = re.match(r"^comm\s+(\d+)\s+(\d+)\s*:\s*(.*)$", line)
@@ -846,6 +864,8 @@ def parse_catalog(text: str) -> list[PcPresentation]:
                         raise CatalogSyntaxError(
                             lineno, f"comm {j} {i} word references g{g + 1} (must exceed {j})"
                         )
+                if (j - 1, i - 1) in comm_words:
+                    raise CatalogSyntaxError(lineno, f"repeated comm {j} {i}")
                 comm_words[(j - 1, i - 1)] = (lineno, word)
                 continue
             raise CatalogSyntaxError(lineno, f"unrecognized line {line!r}")

@@ -8,13 +8,12 @@ carries an explicit counterexample.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .pcgroup import GroupFlags, NormalWord, PcGroup
-
-SUITE_IDS = ("L2.15", "L3.1", "L3.2", "L3.5", "L3.6", "T5.4")
 
 # Exhaustive pair sweeps stay affordable up to this order.
 SUITE_ORDER_CAP = 81
@@ -29,8 +28,8 @@ class SuiteReport:
     counterexample: Optional[str] = None
 
 
-def _not_applicable(suite_id: str, why: str) -> SuiteReport:
-    return SuiteReport(suite_id, False, None, why)
+# A check returns (detail, counterexample); the counterexample is None on a pass.
+Outcome = tuple[str, Optional[str]]
 
 
 def _pn_range(group: PcGroup) -> list[int]:
@@ -62,20 +61,15 @@ def _equivalence_counterexample(
     return f"a={a}, b={b}, n={n}: ({c1},{c2},{c3})"
 
 
-def check_regular_power_laws(group: PcGroup, flags: GroupFlags) -> SuiteReport:
+def check_regular_power_laws(group: PcGroup, flags: GroupFlags) -> Outcome:
     """Power laws of regular p-groups, exhaustive over element pairs.
 
     (i)   [b,a]^{p^n} = 1, [b,a^{p^n}] = 1 and [b^{p^n},a] = 1 are equivalent;
     (iii) order(ab) <= max(order(a), order(b));
     (iv)  a^{p^n} = b^{p^n} iff (a b^{-1})^{p^n} = 1.
     """
-    sid = "L2.15"
-    if flags.is_regular is not True:
-        return _not_applicable(sid, "group is not regular")
-    if group.order > SUITE_ORDER_CAP:
-        return _not_applicable(sid, f"order {group.order} above suite cap")
     p = group.pres.prime
-    one = group.normalize([])
+    one = group.identity
     elems = group.elements()
     ns = _pn_range(group)
     checked = 0
@@ -88,34 +82,23 @@ def check_regular_power_laws(group: PcGroup, flags: GroupFlags) -> SuiteReport:
                 q = p**n
                 bad = _equivalence_counterexample(group, a, b, comm, a_pows[n], n)
                 if bad is not None:
-                    return SuiteReport(sid, True, False, "part (i) equivalence failed", bad)
+                    return "part (i) equivalence failed", bad
                 if (a_pows[n] == group.power(b, q)) != (
                     group.power(group.multiply(a, group.inverse(b)), q) == one
                 ):
-                    return SuiteReport(
-                        sid, True, False, "part (iv) equivalence failed",
-                        f"a={a}, b={b}, n={n}",
-                    )
+                    return "part (iv) equivalence failed", f"a={a}, b={b}, n={n}"
                 checked += 3
             prod_ord = group.element_order(group.multiply(a, b))
             if prod_ord > max(ord_a, group.element_order(b)):
-                return SuiteReport(
-                    sid, True, False, "part (iii) order bound failed",
-                    f"a={a}, b={b}: order(ab)={prod_ord}",
-                )
+                return "part (iii) order bound failed", f"a={a}, b={b}: order(ab)={prod_ord}"
             checked += 1
-    return SuiteReport(sid, True, True, f"{checked} instances over {len(elems)}^2 pairs")
+    return f"{checked} instances over {len(elems)}^2 pairs", None
 
 
-def check_central_power_abelian(group: PcGroup, flags: GroupFlags) -> SuiteReport:
+def check_central_power_abelian(group: PcGroup, flags: GroupFlags) -> Outcome:
     """On regular groups: [b, a^{p^n}] = 1 implies (ab)^{p^n} = a^{p^n} b^{p^n}."""
-    sid = "L3.1"
-    if flags.is_regular is not True:
-        return _not_applicable(sid, "group is not regular")
-    if group.order > SUITE_ORDER_CAP:
-        return _not_applicable(sid, f"order {group.order} above suite cap")
     p = group.pres.prime
-    one = group.normalize([])
+    one = group.identity
     elems = group.elements()
     ns = _pn_range(group)
     checked = 0
@@ -129,26 +112,16 @@ def check_central_power_abelian(group: PcGroup, flags: GroupFlags) -> SuiteRepor
                 lhs = group.power(group.multiply(a, b), q)
                 rhs = group.multiply(aq, group.power(b, q))
                 if lhs != rhs:
-                    return SuiteReport(
-                        sid, True, False, "power-abelian conclusion failed",
-                        f"a={a}, b={b}, n={n}",
-                    )
+                    return "power-abelian conclusion failed", f"a={a}, b={b}, n={n}"
                 checked += 1
-    return SuiteReport(sid, True, True, f"{checked} hypothesis instances")
+    return f"{checked} hypothesis instances", None
 
 
-def check_class_p_commutator_equivalence(
-    group: PcGroup, flags: GroupFlags
-) -> SuiteReport:
+def check_class_p_commutator_equivalence(group: PcGroup, flags: GroupFlags) -> Outcome:
     """On groups of class exactly p: the three vanishing conditions
     [b,a]^{p^n} = 1, [b,a^{p^n}] = 1, [b^{p^n},a] = 1 are pairwise equivalent.
     """
-    sid = "L3.2"
     p = group.pres.prime
-    if flags.nilpotency_class != p:
-        return _not_applicable(sid, f"class {flags.nilpotency_class} != p = {p}")
-    if group.order > SUITE_ORDER_CAP:
-        return _not_applicable(sid, f"order {group.order} above suite cap")
     elems = group.elements()
     ns = _pn_range(group)
     checked = 0
@@ -159,35 +132,22 @@ def check_class_p_commutator_equivalence(
             for n in ns:
                 bad = _equivalence_counterexample(group, a, b, comm, a_pows[n], n)
                 if bad is not None:
-                    return SuiteReport(sid, True, False, "equivalence failed", bad)
+                    return "equivalence failed", bad
                 checked += 1
-    return SuiteReport(sid, True, True, f"{checked} instances")
+    return f"{checked} instances", None
 
 
-def _order_mod_center(group: PcGroup, a: NormalWord) -> int:
-    center = group.center()
-    p = group.pres.prime
-    q = 1
-    while group.power(a, q) not in center:
-        q *= p
-    return q
-
-
-def check_commutator_order_bound(group: PcGroup, flags: GroupFlags) -> SuiteReport:
+def check_commutator_order_bound(group: PcGroup, flags: GroupFlags) -> Outcome:
     """On groups of class exactly p: every right-normed commutator of weight
     <= 3 with at least one slot equal to a (other slots over the generators)
     has order at most the order of a modulo the center.
     """
-    sid = "L3.5"
     p = group.pres.prime
-    if flags.nilpotency_class != p:
-        return _not_applicable(sid, f"class {flags.nilpotency_class} != p = {p}")
-    if group.order > SUITE_ORDER_CAP:
-        return _not_applicable(sid, f"order {group.order} above suite cap")
+    center = group.center()
     gens = group.generators()
     checked = 0
     for a in group.elements():
-        bound = _order_mod_center(group, a)
+        bound = next(p**k for k in itertools.count() if group.power(a, p**k) in center)
         slots2 = [(a, g) for g in gens] + [(g, a) for g in gens] + [(a, a)]
         pool = gens + [a]
         slots3 = [
@@ -200,28 +160,18 @@ def check_commutator_order_bound(group: PcGroup, flags: GroupFlags) -> SuiteRepo
         for seq in slots2 + slots3:
             c = group.iterated_commutator(list(seq))
             if group.element_order(c) > bound:
-                return SuiteReport(
-                    sid, True, False, "commutator order exceeds bound",
-                    f"a={a}, slots={seq}, bound={bound}",
-                )
+                return "commutator order exceeds bound", f"a={a}, slots={seq}, bound={bound}"
             checked += 1
-    return SuiteReport(sid, True, True, f"{checked} commutators")
+    return f"{checked} commutators", None
 
 
-def check_three_group_congruence(group: PcGroup, flags: GroupFlags) -> SuiteReport:
+def check_three_group_congruence(group: PcGroup, flags: GroupFlags) -> Outcome:
     """On 3-groups of class <= 4: whenever [b, a^{3^n}] = 1 in H = <a,b>,
     [a,a,[h,a]]^{C(3^n,3)} [h,a]^{3^n} = 1 for all h in H.
     """
-    sid = "L3.6"
-    if group.pres.prime != 3:
-        return _not_applicable(sid, "not a 3-group")
-    if flags.nilpotency_class > 4:
-        return _not_applicable(sid, f"class {flags.nilpotency_class} > 4")
-    if group.order > SUITE_ORDER_CAP:
-        return _not_applicable(sid, f"order {group.order} above suite cap")
     if flags.nilpotency_class <= 1:
-        return SuiteReport(sid, True, True, "abelian: both sides trivial")
-    one = group.normalize([])
+        return "abelian: both sides trivial", None
+    one = group.identity
     elems = group.elements()
     ns = _pn_range(group)
 
@@ -256,17 +206,12 @@ def check_three_group_congruence(group: PcGroup, flags: GroupFlags) -> SuiteRepo
                     checked += len(sub)
                 bad = verdicts[key]
                 if bad is not None:
-                    return SuiteReport(
-                        sid, True, False, "congruence failed", bad
-                    )
-    return SuiteReport(sid, True, True, f"{checked} congruence instances")
+                    return "congruence failed", bad
+    return f"{checked} congruence instances", None
 
 
-def check_power_set_property(group: PcGroup, flags: GroupFlags) -> SuiteReport:
-    """On regular / condition (1) / condition (2) groups: the set of p-th
-    powers {x^p : x in G} equals the subgroup G^p.
-    """
-    sid = "T5.4"
+def _power_set_conditions(flags: GroupFlags) -> list[str]:
+    """Which of T5.4's alternative hypotheses the group satisfies."""
     hyp = []
     if flags.is_regular is True:
         hyp.append("regular")
@@ -274,34 +219,73 @@ def check_power_set_property(group: PcGroup, flags: GroupFlags) -> SuiteReport:
         hyp.append(f"condition(1) at m={flags.condition1_m}")
     if flags.condition2:
         hyp.append("condition(2)")
-    if not hyp:
-        return _not_applicable(sid, "neither regular nor condition (1)/(2)")
+    return hyp
+
+
+def check_power_set_property(group: PcGroup, flags: GroupFlags) -> Outcome:
+    """On regular / condition (1) / condition (2) groups: the set of p-th
+    powers {x^p : x in G} equals the subgroup G^p.
+    """
     p = group.pres.prime
     power_set = group.power_set(p)
     subgroup = group.power_subgroup(p).elements
     if power_set != subgroup:
         extra = next(iter(subgroup - power_set))
-        return SuiteReport(
-            sid, True, False,
+        return (
             f"G^p has {len(subgroup)} elements, only {len(power_set)} are p-th powers",
             f"{extra} is not a p-th power",
         )
-    return SuiteReport(
-        sid, True, True, f"{'; '.join(hyp)}: {len(power_set)} elements match"
-    )
+    return f"{'; '.join(_power_set_conditions(flags))}: {len(power_set)} elements match", None
 
 
-_SUITES = (
-    check_regular_power_laws,
-    check_central_power_abelian,
-    check_class_p_commutator_equivalence,
-    check_commutator_order_bound,
-    check_three_group_congruence,
-    check_power_set_property,
-)
+# -- hypotheses: None when the suite applies, else why it does not ----------------
+
+
+def _regular(group: PcGroup, flags: GroupFlags) -> Optional[str]:
+    return None if flags.is_regular is True else "group is not regular"
+
+
+def _class_p(group: PcGroup, flags: GroupFlags) -> Optional[str]:
+    c, p = flags.nilpotency_class, group.pres.prime
+    return None if c == p else f"class {c} != p = {p}"
+
+
+def _three_group_class_4(group: PcGroup, flags: GroupFlags) -> Optional[str]:
+    if group.pres.prime != 3:
+        return "not a 3-group"
+    c = flags.nilpotency_class
+    return None if c <= 4 else f"class {c} > 4"
+
+
+def _power_set_hypothesis(group: PcGroup, flags: GroupFlags) -> Optional[str]:
+    return None if _power_set_conditions(flags) else "neither regular nor condition (1)/(2)"
+
+
+# id: (hypothesis, check, whether SUITE_ORDER_CAP applies), in report order
+_SUITES = {
+    "L2.15": (_regular, check_regular_power_laws, True),
+    "L3.1": (_regular, check_central_power_abelian, True),
+    "L3.2": (_class_p, check_class_p_commutator_equivalence, True),
+    "L3.5": (_class_p, check_commutator_order_bound, True),
+    "L3.6": (_three_group_class_4, check_three_group_congruence, True),
+    "T5.4": (_power_set_hypothesis, check_power_set_property, False),
+}
+SUITE_IDS = tuple(_SUITES)
 
 
 def run_suites(group: PcGroup, flags: Optional[GroupFlags] = None) -> list[SuiteReport]:
+    """One report per suite, in SUITE_IDS order; a suite runs only when its
+    hypothesis holds and, for the pair sweeps, the order is within the cap."""
     if flags is None:
         flags = group.classify()
-    return [suite(group, flags) for suite in _SUITES]
+    reports = []
+    for sid, (hypothesis, check, capped) in _SUITES.items():
+        why = hypothesis(group, flags)
+        if why is None and capped and group.order > SUITE_ORDER_CAP:
+            why = f"order {group.order} above suite cap"
+        if why is not None:
+            reports.append(SuiteReport(sid, False, None, why))
+        else:
+            detail, counterexample = check(group, flags)
+            reports.append(SuiteReport(sid, True, counterexample is None, detail, counterexample))
+    return reports

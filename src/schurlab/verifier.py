@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .bounds import ceil_log_ratio, thm61_bound, thm65_bound
+from .bounds import ceil_log_ratio, thm61_bound, thm65_bound, thm73_bound
 from .catalog import CatalogEntry, import_file, load_bundled
 from .multiplier import (
     DEFAULT_ORACLE_CAP,
@@ -31,6 +31,7 @@ RULE_IDS = (
     "R1", "R2", "R3", "R4", "R5", "R6", "R7",
     "R8", "R9", "R10", "R11", "R12", "R13", "R14",
 )
+_STATUSES = ("holds", "violated", "not_applicable", "skipped")
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,6 @@ class GroupProfile:
     order: int
     prime: Optional[int]
     flags: GroupFlags
-    exponent: int
-    nilpotency_class: int
-    derived_length: int
     central_quotient_exponent: int
     gamma2_exponent: int
     multiplier: AbelianInvariants
@@ -109,9 +107,6 @@ def profile(
         order=group.order,
         prime=p,
         flags=flags,
-        exponent=flags.exponent,
-        nilpotency_class=c,
-        derived_length=flags.derived_length,
         central_quotient_exponent=central_quot_exp,
         gamma2_exponent=gamma2_exp,
         multiplier=mult,
@@ -125,163 +120,108 @@ def profile(
     )
 
 
-def _divides(a: int, b: int) -> bool:
-    return b % a == 0
-
-
-def _ext_conclusion(prof: GroupProfile, bound: int, bound_desc: str) -> RuleResult:
-    if prof.exterior_exponent is None:
-        return RuleResult(f"skipped({prof.exterior_skip_reason})")
-    ok = _divides(prof.exterior_exponent, bound)
-    witness = f"e(G∧G)={prof.exterior_exponent} vs {bound_desc}={bound}"
-    return RuleResult("holds" if ok else "violated", witness)
-
-
-def _mult_conclusion(prof: GroupProfile, bound: int, bound_desc: str) -> RuleResult:
-    em = prof.multiplier.exponent
-    ok = _divides(em, bound)
-    witness = f"e(M)={em} vs {bound_desc}={bound}"
-    return RuleResult("holds" if ok else "violated", witness)
+def _suite_verdict(suites: tuple[SuiteReport, ...]) -> RuleResult:
+    """R14: every suite whose hypothesis the group satisfies must pass."""
+    if not suites:
+        return RuleResult("skipped(suites not run)")
+    applicable = [s for s in suites if s.applicable]
+    if not applicable:
+        return RuleResult("not_applicable", "no suite hypothesis satisfied")
+    failed = [s for s in applicable if not s.passed]
+    if failed:
+        return RuleResult(
+            "violated", "; ".join(f"{s.suite_id}: {s.counterexample}" for s in failed)
+        )
+    return RuleResult("holds", "passed: " + ", ".join(s.suite_id for s in applicable))
 
 
 def evaluate_rules(
     prof: GroupProfile, selection: Optional[list[str]] = None
 ) -> dict[str, RuleResult]:
+    flags = prof.flags
     p = prof.prime
-    c = prof.nilpotency_class
-    e = prof.exponent
+    c = flags.nilpotency_class
+    e = flags.exponent
     odd_p = p is not None and p % 2 == 1
-    results: dict[str, RuleResult] = {}
+    gamma2 = ("e(γ₂)", prof.gamma2_exponent)
+    mult = ("e(M)", prof.multiplier.exponent)
+    ext = ("e(G∧G)", prof.exterior_exponent)
+
+    def divides(quantity: tuple[str, Optional[int]], bound: int, desc: str) -> RuleResult:
+        """Conclusion "quantity | bound"; skipped when e(G∧G) is unavailable."""
+        label, value = quantity
+        if value is None:
+            return RuleResult(f"skipped({prof.exterior_skip_reason})")
+        return RuleResult(
+            "holds" if bound % value == 0 else "violated", f"{label}={value} vs {desc}={bound}"
+        )
+
+    def e_power(n: int) -> tuple[int, str]:
+        return e**n, f"e(G)^{n}"
 
     def na(why: str) -> RuleResult:
         return RuleResult("not_applicable", why)
 
-    # R1: class exactly p -> e(gamma2) | e(G/Z)
-    if p is not None and c == p:
-        ok = _divides(prof.gamma2_exponent, prof.central_quotient_exponent)
-        results["R1"] = RuleResult(
-            "holds" if ok else "violated",
-            f"e(γ₂)={prof.gamma2_exponent} vs e(G/Z)={prof.central_quotient_exponent}",
-        )
-    else:
-        results["R1"] = na(f"class {c} != p")
-
-    # R2: p odd, class <= p+1 (deliberately widened from exactly p+1),
-    # p^n-central -> e(gamma2) | p^n
-    if odd_p and c <= p + 1:
-        bound = p**prof.flags.central_pn
-        ok = _divides(prof.gamma2_exponent, bound)
-        results["R2"] = RuleResult(
-            "holds" if ok else "violated",
-            f"e(γ₂)={prof.gamma2_exponent} vs p^{prof.flags.central_pn}={bound}",
-        )
-    else:
-        results["R2"] = na("needs odd p and class <= p+1")
-
-    # R3: p odd, class <= p -> e(G∧G) | e(G)
-    if odd_p and c <= p:
-        results["R3"] = _ext_conclusion(prof, e, "e(G)")
-    else:
-        results["R3"] = na("needs odd p and class <= p")
-
-    # R4: p odd, class exactly 5 -> e(G∧G) | e(G)
-    if odd_p and c == 5:
-        results["R4"] = _ext_conclusion(prof, e, "e(G)")
-    else:
-        results["R4"] = na("needs odd p and class exactly 5")
-
-    # R5: p odd, powerful -> e(G∧G) | e(G)
-    if odd_p and prof.flags.is_powerful:
-        results["R5"] = _ext_conclusion(prof, e, "e(G)")
-    else:
-        results["R5"] = na("needs odd p and powerful")
-
-    # R6: p odd, condition (1) or condition (2) -> e(G∧G) | e(G)
-    if odd_p and (prof.flags.condition1_m is not None or prof.flags.condition2):
-        results["R6"] = _ext_conclusion(prof, e, "e(G)")
-    else:
-        results["R6"] = na("needs odd p and condition (1) or (2)")
-
-    # R7: e(G) odd, class > 1 -> e(G∧G) | e(G)^ceil(log3((c+1)/2))
-    if e % 2 == 1 and c > 1:
-        n = thm61_bound(c)
-        results["R7"] = _ext_conclusion(prof, e**n, f"e(G)^{n}")
-    else:
-        results["R7"] = na("needs odd exponent and class > 1")
-
-    # R8: p odd, m = ceil((c+1)/3) in [2, p+1] -> e(G∧G) | e(γ_m) e(G/γ_m)
-    if prof.r8_m is not None:
-        bound = prof.r8_gamma_exponent * prof.r8_quotient_exponent
-        results["R8"] = _ext_conclusion(
-            prof, bound,
+    # R12's bound, 2^a e(G)^d with a = 0 for odd e(G) (Theorem 7.3)
+    a, d = thm73_bound(max(flags.derived_length, 1), e % 2 == 1)
+    results = {
+        # R1: class exactly p -> e(γ₂) | e(G/Z)
+        "R1": divides(gamma2, prof.central_quotient_exponent, "e(G/Z)")
+        if p is not None and c == p else na(f"class {c} != p"),
+        # R2: p odd, class <= p+1 (deliberately widened from exactly p+1),
+        # p^n-central -> e(γ₂) | p^n
+        "R2": divides(gamma2, p**flags.central_pn, f"p^{flags.central_pn}")
+        if odd_p and c <= p + 1 else na("needs odd p and class <= p+1"),
+        # R3: p odd, class <= p -> e(G∧G) | e(G)
+        "R3": divides(ext, e, "e(G)")
+        if odd_p and c <= p else na("needs odd p and class <= p"),
+        # R4: p odd, class exactly 5 -> e(G∧G) | e(G)
+        "R4": divides(ext, e, "e(G)")
+        if odd_p and c == 5 else na("needs odd p and class exactly 5"),
+        # R5: p odd, powerful -> e(G∧G) | e(G)
+        "R5": divides(ext, e, "e(G)")
+        if odd_p and flags.is_powerful else na("needs odd p and powerful"),
+        # R6: p odd, condition (1) or condition (2) -> e(G∧G) | e(G)
+        "R6": divides(ext, e, "e(G)")
+        if odd_p and (flags.condition1_m is not None or flags.condition2)
+        else na("needs odd p and condition (1) or (2)"),
+        # R7: e(G) odd, class > 1 -> e(G∧G) | e(G)^ceil(log3((c+1)/2))
+        "R7": divides(ext, *e_power(thm61_bound(c)))
+        if e % 2 == 1 and c > 1 else na("needs odd exponent and class > 1"),
+        # R8: p odd, m = ceil((c+1)/3) in [2, p+1] -> e(G∧G) | e(γ_m) e(G/γ_m)
+        "R8": divides(
+            ext,
+            prof.r8_gamma_exponent * prof.r8_quotient_exponent,
             f"e(γ_{prof.r8_m})·e(G/γ_{prof.r8_m})"
             f"={prof.r8_gamma_exponent}·{prof.r8_quotient_exponent}",
         )
-    else:
-        results["R8"] = na("needs odd p and 2 <= ceil((c+1)/3) <= p+1")
-
-    # R9: p odd -> e(G∧G) | e(G)^ceil(log_{p-1}(c+1))
-    if odd_p:
-        n = ceil_log_ratio(p - 1, c + 1, 1)
-        results["R9"] = _ext_conclusion(prof, e**n, f"e(G)^{n}")
-    else:
-        results["R9"] = na("needs odd p")
-
-    # R10: p odd, class >= p -> e(G∧G) | e(G)^(1+ceil(log_{p-1}((c+1)/(p+1))))
-    if odd_p and c >= p:
-        n = thm65_bound(c, p)
-        results["R10"] = _ext_conclusion(prof, e**n, f"e(G)^{n}")
-    else:
-        results["R10"] = na("needs odd p and class >= p")
-
-    # R11: p-central metabelian -> e(M) | e(G)
-    if prof.flags.central_pn <= 1 and prof.flags.is_metabelian:
-        results["R11"] = _mult_conclusion(prof, e, "e(G)")
-    else:
-        results["R11"] = na("needs p-central and metabelian")
-
-    # R12: derived length d -> e(M) | e(G)^d (odd e) or 2^{d-1} e(G)^d (even e)
-    d = max(prof.derived_length, 1)
-    if e % 2 == 1:
-        results["R12"] = _mult_conclusion(prof, e**d, f"e(G)^{d}")
-    else:
-        bound = 2 ** (d - 1) * e**d
-        results["R12"] = _mult_conclusion(prof, bound, f"2^{d - 1}·e(G)^{d}")
-
-    # R13: conjecture, all p-groups -> e(M) | p e(G)
-    if p is not None:
-        results["R13"] = _mult_conclusion(prof, p * e, "p·e(G)")
-    else:
-        results["R13"] = na("needs a p-group")
-
-    # R14: structural suites
-    applicable = [s for s in prof.suites if s.applicable]
-    if not prof.suites:
-        results["R14"] = RuleResult("skipped(suites not run)")
-    elif not applicable:
-        results["R14"] = na("no suite hypothesis satisfied")
-    else:
-        failed = [s for s in applicable if not s.passed]
-        if failed:
-            results["R14"] = RuleResult(
-                "violated",
-                "; ".join(f"{s.suite_id}: {s.counterexample}" for s in failed),
-            )
-        else:
-            results["R14"] = RuleResult(
-                "holds", "passed: " + ", ".join(s.suite_id for s in applicable)
-            )
+        if prof.r8_m is not None else na("needs odd p and 2 <= ceil((c+1)/3) <= p+1"),
+        # R9: p odd -> e(G∧G) | e(G)^ceil(log_{p-1}(c+1))
+        "R9": divides(ext, *e_power(ceil_log_ratio(p - 1, c + 1, 1)))
+        if odd_p else na("needs odd p"),
+        # R10: p odd, class >= p -> e(G∧G) | e(G)^(1+ceil(log_{p-1}((c+1)/(p+1))))
+        "R10": divides(ext, *e_power(thm65_bound(c, p)))
+        if odd_p and c >= p else na("needs odd p and class >= p"),
+        # R11: p-central metabelian -> e(M) | e(G)
+        "R11": divides(mult, e, "e(G)")
+        if flags.central_pn <= 1 and flags.is_metabelian
+        else na("needs p-central and metabelian"),
+        # R12: derived length d -> e(M) | e(G)^d (odd e) or 2^{d-1} e(G)^d (even e)
+        "R12": divides(mult, 2**a * e**d, f"e(G)^{d}" if e % 2 else f"2^{a}·e(G)^{d}"),
+        # R13: conjecture, all p-groups -> e(M) | p e(G)
+        "R13": divides(mult, p * e, "p·e(G)") if p is not None else na("needs a p-group"),
+        # R14: structural suites
+        "R14": _suite_verdict(prof.suites),
+    }
 
     # Non-failing observation on regular groups: does e(G∧G) | e(G)?
-    if prof.flags.is_regular is True:
-        if prof.exterior_exponent is None:
-            results["OBS"] = RuleResult("observed", "exterior exponent unavailable")
-        else:
-            verdict = "yes" if _divides(prof.exterior_exponent, e) else "no"
-            results["OBS"] = RuleResult(
-                "observed",
-                f"e(G∧G)={prof.exterior_exponent} divides e(G)={e}: {verdict}",
-            )
+    if flags.is_regular is True:
+        x = prof.exterior_exponent
+        results["OBS"] = RuleResult(
+            "observed",
+            "exterior exponent unavailable" if x is None
+            else f"e(G∧G)={x} divides e(G)={e}: {'yes' if e % x == 0 else 'no'}",
+        )
 
     if selection is not None:
         keep = set(selection) | {"OBS"}
@@ -316,9 +256,9 @@ def record_for(
         "name": prof.name,
         "order": prof.order,
         "prime": prof.prime,
-        "class": prof.nilpotency_class,
-        "derived_length": prof.derived_length,
-        "exponent": prof.exponent,
+        "class": flags.nilpotency_class,
+        "derived_length": flags.derived_length,
+        "exponent": flags.exponent,
         "flags": {
             "is_regular": flags.is_regular,
             "is_powerful": flags.is_powerful,
@@ -418,39 +358,22 @@ def run(config: RunConfig) -> RunResult:
         records = [_worker(t) for t in tasks]
     records.sort(key=lambda r: r["name"])
 
+    # Each rule status counts under its prefix: "skipped(...)" under skipped.
     summary: dict[str, dict[str, int]] = {}
-    any_violated = False
-    any_skipped = False
+    skipped = 0
     for rec in records:
-        if rec["multiplier_crosscheck"].startswith("skipped"):
-            any_skipped = True
-        if isinstance(rec["exterior_exponent"], str):
-            any_skipped = True
+        skipped += rec["multiplier_crosscheck"].startswith("skipped")
+        skipped += isinstance(rec["exterior_exponent"], str)
         for rule, res in rec["rules"].items():
-            if rule == "OBS":
-                continue
-            counts = summary.setdefault(
-                rule, {"holds": 0, "violated": 0, "not_applicable": 0, "skipped": 0}
-            )
-            status = res["status"]
-            if status == "holds":
-                counts["holds"] += 1
-            elif status == "violated":
-                counts["violated"] += 1
-                any_violated = True
-            elif status == "not_applicable":
-                counts["not_applicable"] += 1
-            elif status.startswith("skipped"):
-                counts["skipped"] += 1
-                any_skipped = True
-    for rule, counts in summary.items():
-        counts["vacuous"] = int(
-            rule != "OBS"
-            and counts["holds"] + counts["violated"] + counts["skipped"] == 0
-        )
+            if rule != "OBS":
+                counts = summary.setdefault(rule, dict.fromkeys(_STATUSES, 0))
+                counts[res["status"].partition("(")[0]] += 1
+    for counts in summary.values():
+        counts["vacuous"] = int(counts["holds"] + counts["violated"] + counts["skipped"] == 0)
+        skipped += counts["skipped"]
     exit_code = 0
-    if any_violated:
+    if any(counts["violated"] for counts in summary.values()):
         exit_code = 1
-    elif config.strict and any_skipped:
+    elif config.strict and skipped:
         exit_code = 3
     return RunResult(records=records, summary=summary, exit_code=exit_code)

@@ -117,6 +117,19 @@ def test_verify_strict_with_zero_cap(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("cap", ["100", "-1"])
+def test_verify_oracle_cap_checked_before_any_group(cap, monkeypatch, capsys):
+    from schurlab import verifier
+
+    def no_profile(*args, **kwargs):
+        raise AssertionError("a group was profiled")
+
+    monkeypatch.setattr(verifier, "profile", no_profile)
+    code, out, err = run_cli(["verify", "--max-order", "4", "--oracle-cap", cap], capsys)
+    assert code == 2 and not out
+    assert "0..81" in err
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "schurlab.cli", "alpha", "--m", "2", "--n", "4"],
@@ -140,6 +153,7 @@ def test_console_script_runs():
         (["alpha", "--m", "3", "--n", "4"], 0, ""),
         (["identities", "--n-max", "10"], 0, ""),
         (["identities", "--n-max", "0"], 2, "leaves no n"),
+        (["verify", "--oracle-cap", "82"], 2, "hard limit"),
     ],
 )
 def test_exit_codes_without_traceback(args, code, message, tmp_path):

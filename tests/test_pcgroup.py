@@ -88,6 +88,8 @@ def test_element_orders_and_powers(groups):
     d8 = groups("dihedral_8")
     assert d8.exponent() == 4
     assert d8.power_set(2) == d8.power_subgroup(2).elements
+    assert d8.power_subgroup(2) is d8.power_subgroup(2)  # built once per k
+    assert d8.power_set(2) is d8.power_set(2)
 
 
 def test_series_and_abelianization(groups):
@@ -179,10 +181,16 @@ def test_parse_catalog_errors():
         with pytest.raises(CatalogSyntaxError) as excinfo:
             parse_catalog(f"[group]\nname = z\n{line}\n")
         assert excinfo.value.lineno == 3
-    for line in ("pow 1 : g2^5", "comm 2 1 : g3^3"):  # exponents beyond the orders
+    for line in (
+        "pow 1 : g2^5",  # exponent beyond the order
+        "comm 2 1 : g3^3",
+        "pow 1 : g3 g2",  # indices not increasing
+        "pow 1 : g2\npow 1 : g2^2",  # the second line repeats a relation
+        "comm 3 1 : g4\ncomm 3 1 : g4^2",
+    ):
         with pytest.raises(CatalogSyntaxError) as excinfo:
-            parse_catalog(f"[group]\nname = w\nngens = 3\norders = 3 3 3\n{line}\n")
-        assert excinfo.value.lineno == 5
+            parse_catalog(f"[group]\nname = w\nngens = 4\norders = 3 3 3 3\n{line}\n")
+        assert excinfo.value.lineno == 5 + line.count("\n"), line
 
 
 def test_word_of():

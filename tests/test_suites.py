@@ -1,3 +1,5 @@
+import dataclasses
+
 from schurlab.pcgroup import make_presentation, group_of
 from schurlab.suites import SUITE_IDS, run_suites
 
@@ -50,21 +52,8 @@ def test_l36_covers_all_small_3_groups(bundled, groups):
 def test_suite_detects_violations(bundled):
     # Forging the regular flag on D_8 must make L2.15 fail: two reflections
     # have order 2 but their product has order 4, violating part (iii).
-    from schurlab.suites import check_regular_power_laws
-
     group = group_of(bundled["dihedral_8"].presentation)
-    flags = group.classify()
-    forged = type(flags)(
-        nilpotency_class=flags.nilpotency_class,
-        derived_length=flags.derived_length,
-        exponent=flags.exponent,
-        is_regular=True,  # forged: D_8 is not regular
-        is_powerful=flags.is_powerful,
-        condition1_m=flags.condition1_m,
-        condition2=flags.condition2,
-        central_pn=flags.central_pn,
-        is_metabelian=flags.is_metabelian,
-    )
-    report = check_regular_power_laws(group, forged)
+    forged = dataclasses.replace(group.classify(), is_regular=True)  # D_8 is not regular
+    report = _by_id(run_suites(group, forged))["L2.15"]
     assert report.applicable and not report.passed
     assert report.counterexample is not None

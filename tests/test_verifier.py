@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from schurlab.suites import SuiteReport
 from schurlab.verifier import (
     RULE_IDS,
+    RuleResult,
     RunConfig,
     evaluate_rules,
     gather_entries,
@@ -20,15 +22,15 @@ def heis_profile(bundled):
 
 def test_profile_examples(bundled, heis_profile):
     prof = heis_profile
-    assert prof.order == 27 and prof.nilpotency_class == 2
-    assert prof.exponent == 3
+    assert prof.order == 27 and prof.flags.nilpotency_class == 2
+    assert prof.flags.exponent == 3
     assert prof.multiplier.torsion == (3, 3)
     assert prof.exterior_exponent == 3
     assert prof.gamma2_exponent == 3
     assert prof.central_quotient_exponent == 3
 
     c9 = profile(bundled["cyclic_9"].presentation)
-    assert c9.nilpotency_class == 1
+    assert c9.flags.nilpotency_class == 1
     assert c9.multiplier.torsion == ()
     assert c9.exterior_exponent == 1
 
@@ -86,6 +88,24 @@ def test_violation_detected_on_forged_profile(heis_profile):
     rules = evaluate_rules(forged)
     assert rules["R3"].status == "violated"
     assert rules["R3"].witness is not None
+
+
+def test_missing_exterior_exponent_skips_its_rules(heis_profile):
+    forged = dataclasses.replace(
+        heis_profile, exterior_exponent=None, exterior_skip_reason="cover enumeration cap: x"
+    )
+    rules = evaluate_rules(forged)
+    assert rules["R3"] == RuleResult("skipped(cover enumeration cap: x)")
+    assert rules["R13"].status == "holds"  # e(M) rules do not need the cover
+    assert rules["OBS"] == RuleResult("observed", "exterior exponent unavailable")
+
+
+def test_r14_reports_suites(heis_profile):
+    failing = SuiteReport("L3.1", True, False, "power-abelian conclusion failed", "a=x, b=y, n=1")
+    forged = dataclasses.replace(heis_profile, suites=heis_profile.suites + (failing,))
+    assert evaluate_rules(forged)["R14"] == RuleResult("violated", "L3.1: a=x, b=y, n=1")
+    not_run = dataclasses.replace(heis_profile, suites=())
+    assert evaluate_rules(not_run)["R14"] == RuleResult("skipped(suites not run)")
 
 
 def test_wreath_triggers_deep_rules(bundled):
