@@ -31,6 +31,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"--oracle-cap {args.oracle_cap}: must lie in 0..{ORACLE_HARD_CAP}, "
             "the bar oracle's hard limit"
         )
+    if args.jobs < 1:
+        raise UsageError(f"--jobs {args.jobs}: must be at least 1")
     if args.rules == "all":
         rules = None
     else:

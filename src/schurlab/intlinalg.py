@@ -1,12 +1,18 @@
-"""Exact integer linear algebra: sparse matrices, Smith normal form, lattice quotients.
+"""Exact integer linear algebra on one matrix format: a list of sparse rows.
+
+A row (or vector) is a dict {column: nonzero value}; a matrix is a list of rows
+plus a column count.  ``LatticeBasis`` keeps a triangular basis of a sublattice
+of Z^dim; its quotient invariants peel off the unit pivots and hand the small
+remainder to ``snf``, a dense Smith normal form.  ``IntegerSolver`` reads
+integer solutions off the same reduction.
 
 Everything here is arbitrary-precision; no floating point anywhere.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -24,53 +30,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-class SparseIntMatrix:
-    """Integer matrix stored as {(row, col): value}; zeros are never stored."""
-
-    def __init__(self, rows: int, cols: int, entries: Optional[dict] = None):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimensions")
-        self.rows = rows
-        self.cols = cols
-        self.entries: dict[tuple[int, int], int] = {}
-        if entries:
-            for (i, j), v in entries.items():
-                self[i, j] = v
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        return self.entries.get(key, 0)
-
-    def __setitem__(self, key: tuple[int, int], value: int) -> None:
-        i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry {key} out of range for {self.rows}x{self.cols}")
-        if value:
-            self.entries[key] = value
-        else:
-            self.entries.pop(key, None)
-
-    @classmethod
-    def from_dense(cls, dense: list[list[int]]) -> "SparseIntMatrix":
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        m = cls(rows, cols)
-        for i, row in enumerate(dense):
-            if len(row) != cols:
-                raise ValueError("ragged matrix")
-            for j, v in enumerate(row):
-                m[i, j] = v
-        return m
-
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
-    def __repr__(self):
-        return f"SparseIntMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero)"
-
-
 @dataclass(frozen=True)
 class SNFResult:
     """Diagonal of the Smith normal form, with optional unimodular transforms.
@@ -83,23 +42,22 @@ class SNFResult:
     row_transform: Optional[list[list[int]]] = None
     col_transform: Optional[list[list[int]]] = None
 
-    def diagonal_padded(self, length: int) -> list[int]:
-        d = list(self.diagonal)
-        return d + [0] * (length - len(d))
-
 
 def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def snf(A: SparseIntMatrix, want_transforms: bool = False) -> SNFResult:
-    """Smith normal form over Z with min-|pivot| selection.
+def snf(
+    rows: Sequence[dict[int, int]], ncols: int, want_transforms: bool = False
+) -> SNFResult:
+    """Smith normal form over Z of the matrix with the given sparse rows and
+    ``ncols`` columns, with min-|pivot| selection.
 
     Dense elimination; intended for the small matrices arising from relation
     tails and homology lattice bases (hundreds of rows at most).
     """
-    m, n = A.rows, A.cols
-    D = A.to_dense()
+    m, n = len(rows), ncols
+    D = [[row.get(j, 0) for j in range(n)] for row in rows]
     P = _identity(m) if want_transforms else None
     Q = _identity(n) if want_transforms else None
 
@@ -243,8 +201,6 @@ class LatticeBasis:
                 vec.pop(j, None)
 
     def add(self, vec: dict[int, int]) -> None:
-        import heapq
-
         pivots = self.pivots
         work = [dict(vec)]
         while work:
@@ -338,11 +294,8 @@ class LatticeBasis:
             return (), free_rank
         coords = sorted(set().union(*vectors))
         col_of = {c: j for j, c in enumerate(coords)}
-        m = SparseIntMatrix(len(vectors), len(coords))
-        for i, v in enumerate(vectors):
-            for c, val in v.items():
-                m[i, col_of[c]] = val
-        result = snf(m)
+        rows = [{col_of[c]: val for c, val in v.items()} for v in vectors]
+        result = snf(rows, len(coords))
         torsion = tuple(d for d in result.diagonal if d > 1)
         return torsion, free_rank
 
@@ -370,24 +323,19 @@ class IntegerSolver:
             aug = dict(col)
             aug[dim + k] = 1
             self.basis.add(aug)
+        # Column k is tracked by bookkeeping coordinate dim + k.  Pivots there
+        # come from dependent columns; without them, reduce stops at the first
+        # bookkeeping coordinate and leaves the solution's coefficients.
+        self.basis.pivots = {i: b for i, b in self.basis.pivots.items() if i < dim}
 
     def solve(self, target: dict[int, int]) -> list[int]:
-        v = dict(target)
-        while v:
-            i = min(v)
-            if i >= self.dim:
-                break  # only bookkeeping coordinates remain
-            b = self.basis.pivots.get(i)
-            if b is None:
-                raise ValueError(f"no integer solution (unreachable coordinate {i})")
-            c = v[i]
-            a = b[i]
-            if c % a:
-                raise ValueError(f"no integer solution (non-divisible pivot at {i})")
-            LatticeBasis._axpy(v, -(c // a), b)
+        v = self.basis.reduce(target)
+        i = min(v, default=self.dim)
+        if i < self.dim:
+            why = (f"non-divisible pivot at {i}" if i in self.basis.pivots
+                   else f"unreachable coordinate {i}")
+            raise ValueError(f"no integer solution ({why})")
         coeffs = [0] * self.ncols
         for j, val in v.items():
-            if j < self.dim:
-                raise ValueError("no integer solution (residual in main coordinates)")
             coeffs[j - self.dim] = -val
         return coeffs

@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .intlinalg import LatticeBasis, SNFResult, SparseIntMatrix, quotient_invariants, snf
+from .intlinalg import LatticeBasis, SNFResult, snf
 from .pcgroup import (
     Collector,
     InconsistentPresentation,
@@ -114,67 +114,44 @@ def bar_homology(
     e = _find_identity(table)
     nontriv = [g for g in range(m) if g != e]
     idx1 = {g: i for i, g in enumerate(nontriv)}
-    dim1 = len(nontriv)
+    pairs = [(g, h) for g in nontriv for h in nontriv]
 
-    def d2_row(g: int, h: int) -> dict[int, int]:
+    def chain(terms, coord: dict) -> dict[int, int]:
+        """Sparse vector of a signed sum of cells; cells that contain the
+        identity have no coordinate and are dropped."""
         vec: dict[int, int] = {}
-        for elem, coeff in ((h, 1), (table[g][h], -1), (g, 1)):
-            if elem != e:
-                c = idx1[elem]
-                nv = vec.get(c, 0) + coeff
-                if nv:
-                    vec[c] = nv
-                else:
-                    del vec[c]
+        for cell, coeff in terms:
+            c = coord.get(cell)
+            if c is None:
+                continue
+            nv = vec.get(c, 0) + coeff
+            if nv:
+                vec[c] = nv
+            else:
+                del vec[c]
         return vec
 
+    d2_lattice = LatticeBasis(len(nontriv))
+    for g, h in pairs:
+        d2_lattice.add(chain(((h, 1), (table[g][h], -1), (g, 1)), idx1))
     if degree == 1:
-        torsion, free = quotient_invariants(
-            dim1, (d2_row(g, h) for g in nontriv for h in nontriv)
-        )
+        torsion, free = d2_lattice.quotient_invariants()
         if free:
             raise MultiplierError(f"H1 free rank {free} nonzero for a finite group")
         return AbelianInvariants(torsion)
 
-    pairs = [(g, h) for g in nontriv for h in nontriv]
     idx2 = {gh: i for i, gh in enumerate(pairs)}
-    dim2 = len(pairs)
-
-    def pair_coord(g: int, h: int) -> Optional[int]:
-        if g == e or h == e:
-            return None
-        return idx2[(g, h)]
-
-    d2_lattice = LatticeBasis(dim1)
+    d3_lattice = LatticeBasis(len(pairs))
     for g, h in pairs:
-        d2_lattice.add(d2_row(g, h))
-    rank_d2 = d2_lattice.rank
-
-    d3_lattice = LatticeBasis(dim2)
-    for g in nontriv:
-        for h in nontriv:
-            gh = table[g][h]
-            for k in nontriv:
-                hk = table[h][k]
-                vec: dict[int, int] = {}
-                for coord, coeff in (
-                    (pair_coord(h, k), 1),
-                    (pair_coord(gh, k), -1),
-                    (pair_coord(g, hk), 1),
-                    (pair_coord(g, h), -1),
-                ):
-                    if coord is None:
-                        continue
-                    nv = vec.get(coord, 0) + coeff
-                    if nv:
-                        vec[coord] = nv
-                    else:
-                        del vec[coord]
-                if vec:
-                    d3_lattice.add(vec)
+        gh = table[g][h]
+        for k in nontriv:
+            hk = table[h][k]
+            vec = chain((((h, k), 1), ((gh, k), -1), ((g, hk), 1), ((g, h), -1)), idx2)
+            if vec:
+                d3_lattice.add(vec)
     torsion, coker_free = d3_lattice.quotient_invariants()
-    rank_d3 = dim2 - coker_free
-    h2_free = (dim2 - rank_d2) - rank_d3
+    # rank H2 = dim ker d2 - rank d3 = (dim2 - rank d2) - (dim2 - coker_free)
+    h2_free = coker_free - d2_lattice.rank
     if h2_free:
         raise MultiplierError(
             f"H2 free rank {h2_free} nonzero for a finite group (internal error)"
@@ -202,25 +179,23 @@ def _tail_columns(ntails: int, tail_perm: Optional[Sequence[int]]) -> list[int]:
 
 def tails_matrix(
     pres: PcPresentation, tail_perm: Optional[Sequence[int]] = None
-) -> SparseIntMatrix:
-    """One row per consistency test: the difference of the two sides' tail
-    vectors.  ``tail_perm`` reorders the tail columns (column j reads old tail
-    tail_perm[j]); the multiplier must not depend on it."""
+) -> tuple[list[dict[int, int]], int]:
+    """The sparse rows of the tails matrix and its column (tail) count.
+
+    One row per consistency test, zero rows included: the difference of the
+    two sides' tail vectors.  ``tail_perm`` reorders the tail columns (column
+    j reads old tail tail_perm[j]); the multiplier must not depend on it."""
     collector = Collector(pres, tails=True)
     r = collector.ntails
     new_col = _tail_columns(r, tail_perm)
-    entries: dict[tuple[int, int], int] = {}
-    rows = 0
+    rows = []
     for family, indices, (le, lt), (re_, rt) in overlap_tests(collector):
         if le != re_:
             raise InconsistentPresentation(
                 f"{pres.name}: {family}{indices}: {le} != {re_}"
             )
-        for k in range(r):
-            if lt[k] != rt[k]:
-                entries[rows, new_col[k]] = lt[k] - rt[k]
-        rows += 1
-    return SparseIntMatrix(rows, r, entries)
+        rows.append({new_col[k]: lt[k] - rt[k] for k in range(r) if lt[k] != rt[k]})
+    return rows, r
 
 
 def _hopf_multiplier(pres: PcPresentation, ntails: int, result: SNFResult) -> AbelianInvariants:
@@ -257,8 +232,8 @@ def schur_multiplier(
         raise MultiplierError(f"unknown method {method!r}")
     if method == "bar":
         return bar_homology(multiplication_table(group_of(pres)), 2, cap=oracle_cap)
-    matrix = tails_matrix(pres, tail_perm)
-    tails = _hopf_multiplier(pres, matrix.cols, snf(matrix))
+    rows, ntails = tails_matrix(pres, tail_perm)
+    tails = _hopf_multiplier(pres, ntails, snf(rows, ntails))
     return crosscheck_multiplier(pres, tails, oracle_cap) if method == "both" else tails
 
 
@@ -294,12 +269,10 @@ def schur_cover(
 ) -> CoverResult:
     """A Schur cover H of G: central extension by M(G) with kernel inside
     Z(H) ∩ γ₂(H), built by rewriting relation tails in an SNF basis."""
-    matrix = tails_matrix(pres, tail_perm)
-    r = matrix.cols
+    rows, r = tails_matrix(pres, tail_perm)
     n = pres.ngens
-    result = snf(matrix, want_transforms=True)
+    result = snf(rows, r, want_transforms=True)
     multiplier = _hopf_multiplier(pres, r, result)
-    diag = result.diagonal_padded(r)
     Q = result.col_transform
     col_of_old = _tail_columns(r, tail_perm)
 
@@ -307,10 +280,10 @@ def schur_cover(
     # prime-order generators h_1, ..., h_k with h_l^p = h_{l+1}, h_k^p = 1.
     chains = []  # (snf column j, start index among new gens, chain length, p, d)
     new_orders: list[int] = []
-    for j in range(r):
-        if diag[j] > 1:
-            p, k = _prime_power(diag[j])
-            chains.append((j, n + len(new_orders), k, p, diag[j]))
+    for j, d in enumerate(result.diagonal):
+        if d > 1:
+            p, k = _prime_power(d)
+            chains.append((j, n + len(new_orders), k, p, d))
             new_orders.extend([p] * k)
 
     def tail_word(t: int) -> Word:

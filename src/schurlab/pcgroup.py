@@ -819,7 +819,7 @@ def parse_catalog(text: str) -> list[PcPresentation]:
                     if key == "name":
                         name = value
                     elif key == "prime":
-                        prime = int(value)
+                        prime, prime_line = int(value), lineno
                         if not is_prime(prime):
                             raise CatalogSyntaxError(lineno, f"prime = {prime} is not prime")
                     elif key == "ngens":
@@ -883,6 +883,10 @@ def parse_catalog(text: str) -> list[PcPresentation]:
             for g, e in w:
                 if e >= orders[g]:
                     raise CatalogSyntaxError(lineno, f"exponent {e} >= order of g{g + 1}")
+        if prime is not None and any(o != prime for o in orders):
+            raise CatalogSyntaxError(
+                prime_line, f"{name}: declared prime {prime} does not match orders"
+            )
         try:
             pres = make_presentation(
                 name,

@@ -154,6 +154,8 @@ def test_console_script_runs():
         (["identities", "--n-max", "10"], 0, ""),
         (["identities", "--n-max", "0"], 2, "leaves no n"),
         (["verify", "--oracle-cap", "82"], 2, "hard limit"),
+        (["verify", "--jobs", "0"], 2, "at least 1"),
+        (["verify", "--jobs", "-4"], 2, "at least 1"),
     ],
 )
 def test_exit_codes_without_traceback(args, code, message, tmp_path):

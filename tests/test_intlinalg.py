@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from schurlab.intlinalg import (
     IntegerSolver,
     LatticeBasis,
-    SparseIntMatrix,
     quotient_invariants,
     snf,
     xgcd,
@@ -21,6 +20,10 @@ def test_xgcd_bezout(a, b):
     assert u * a + v * b == g
     if a or b:
         assert a % g == 0 and b % g == 0
+
+
+def _rows(dense):
+    return [{j: v for j, v in enumerate(row) if v} for row in dense]
 
 
 def _dense(result, rows, cols):
@@ -38,8 +41,7 @@ def _matmul(A, B):
 
 
 def test_snf_known():
-    A = SparseIntMatrix.from_dense([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    result = snf(A)
+    result = snf(_rows([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]), 3)
     assert result.diagonal == (2, 2, 156)
 
 
@@ -49,8 +51,7 @@ def test_snf_divisibility_and_transforms():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         dense = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        A = SparseIntMatrix.from_dense(dense)
-        result = snf(A, want_transforms=True)
+        result = snf(_rows(dense), cols, want_transforms=True)
         for a, b in zip(result.diagonal, result.diagonal[1:]):
             assert b % a == 0
         assert all(d > 0 for d in result.diagonal)
@@ -67,7 +68,7 @@ def test_snf_matches_sympy():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         dense = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        ours = snf(SparseIntMatrix.from_dense(dense)).diagonal
+        ours = snf(_rows(dense), cols).diagonal
         ref = smith_normal_form(sympy.Matrix(dense))
         ref_diag = tuple(
             abs(int(ref[i, i])) for i in range(min(rows, cols)) if ref[i, i] != 0
@@ -115,3 +116,47 @@ def test_integer_solver():
     assert x == [1, 1]
     with pytest.raises(ValueError):
         solver.solve({0: 1})
+    # dependent columns: the solution stops at the first bookkeeping coordinate
+    assert IntegerSolver(1, [{0: 1}, {0: 1}]).solve({0: 3}) == [3, 0]
+
+
+# a small integer matrix: its column count and its dense rows
+small_matrices = st.integers(1, 5).flatmap(
+    lambda ncols: st.tuples(
+        st.just(ncols),
+        st.lists(st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols), max_size=6),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices)
+def test_quotient_invariants_agree_with_snf(matrix):
+    dim, dense = matrix
+    rows = _rows(dense)
+    result = snf(rows, dim)
+    torsion = tuple(d for d in result.diagonal if d > 1)
+    assert quotient_invariants(dim, rows) == (torsion, dim - result.rank)
+
+
+def _apply(columns, x, dim):
+    out = [sum(c.get(i, 0) * xk for c, xk in zip(columns, x)) for i in range(dim)]
+    return {i: v for i, v in enumerate(out) if v}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices, st.data())
+def test_integer_solver_property(matrix, data):
+    dim, dense = matrix  # the rows of ``dense`` are the solver's columns
+    columns = _rows(dense)
+    x = data.draw(st.lists(st.integers(-4, 4), min_size=len(columns), max_size=len(columns)))
+    target = _apply(columns, x, dim)
+    y = IntegerSolver(dim, columns).solve(target)
+    assert _apply(columns, y, dim) == target
+    # every vector of the doubled lattice is even, so an odd entry is outside it
+    doubled = [{i: 2 * v for i, v in c.items()} for c in columns]
+    odd = _apply(doubled, x, dim)
+    j = data.draw(st.integers(0, dim - 1))
+    odd[j] = odd.get(j, 0) + 1
+    with pytest.raises(ValueError):
+        IntegerSolver(dim, doubled).solve(odd)

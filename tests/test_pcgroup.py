@@ -191,6 +191,48 @@ def test_parse_catalog_errors():
         with pytest.raises(CatalogSyntaxError) as excinfo:
             parse_catalog(f"[group]\nname = w\nngens = 4\norders = 3 3 3 3\n{line}\n")
         assert excinfo.value.lineno == 5 + line.count("\n"), line
+    with pytest.raises(CatalogSyntaxError) as excinfo:  # declared prime vs orders
+        parse_catalog("[group]\nname = v\nprime = 3\nngens = 2\norders = 2 2\n")
+    assert excinfo.value.lineno == 3
+
+
+_numbers = st.integers(-2, 12).map(str) | st.sampled_from(["two", "2 2", "3 3 3", "5 x", ""])
+_tokens = st.builds(
+    lambda g, e: f"g{g}" if e is None else f"g{g}^{e}",
+    st.integers(0, 6), st.none() | st.integers(-1, 6),
+) | st.sampled_from(["g", "x3", "g2^", "^2"])
+_words = st.lists(_tokens, max_size=4).map(" ".join)
+_catalog_lines = st.one_of(
+    st.just("[group]"),
+    st.builds("{} = {}".format,
+              st.sampled_from(["name", "prime", "ngens", "orders", "colour"]), _numbers),
+    st.builds("pow {} : {}".format, st.integers(-1, 6), _words),
+    st.builds("comm {} {} : {}".format, st.integers(0, 6), st.integers(0, 6), _words),
+    st.sampled_from(["", "# comment", "pow", "comm 2 1", "name"]),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans(), st.lists(_catalog_lines, max_size=12))
+def test_parse_catalog_fuzz_raises_only_syntax_errors(header, lines):
+    text = "\n".join((["[group]"] if header else []) + lines)
+    try:
+        parse_catalog(text)
+    except CatalogSyntaxError as exc:
+        assert isinstance(exc.lineno, int)
+        assert 1 <= exc.lineno <= len(text.splitlines())
+
+
+def test_catalog_text_round_trips(bundled):
+    from schurlab.multiplier import schur_cover
+
+    for entry in bundled.values():
+        pres = entry.presentation
+        assert parse_catalog(pres.to_catalog_text()) == [pres], pres.name
+        if pres.order <= 81:
+            cover = schur_cover(pres).cover
+            assert parse_catalog(cover.to_catalog_text()) == [cover], cover.name
 
 
 def test_word_of():
