@@ -73,9 +73,7 @@ def _tags_for(name: str) -> frozenset[str]:
     return frozenset(tags)
 
 
-def _check_entries(
-    presentations: list[PcPresentation], source: str, tag: bool
-) -> list[CatalogEntry]:
+def _check_entries(presentations: list[PcPresentation], source: str) -> list[CatalogEntry]:
     bad: dict[str, list[Violation]] = {}
     entries = []
     for pres in presentations:
@@ -85,7 +83,7 @@ def _check_entries(
         entries.append(
             CatalogEntry(
                 presentation=pres,
-                tags=_tags_for(pres.name) if tag else frozenset(),
+                tags=_tags_for(pres.name) if source == "bundled" else frozenset(),
                 source=source,
             )
         )
@@ -103,7 +101,7 @@ def _bundled_presentations() -> list[PcPresentation]:
 
 
 def load_bundled() -> list[CatalogEntry]:
-    return _check_entries(_bundled_presentations(), source="bundled", tag=True)
+    return _check_entries(_bundled_presentations(), source="bundled")
 
 
 def find_bundled(name: str) -> Optional[CatalogEntry]:
@@ -111,11 +109,11 @@ def find_bundled(name: str) -> Optional[CatalogEntry]:
     consistency-checked."""
     for pres in _bundled_presentations():
         if pres.name == name:
-            return _check_entries([pres], source="bundled", tag=True)[0]
+            return _check_entries([pres], source="bundled")[0]
     return None
 
 
 def import_file(path: str) -> list[CatalogEntry]:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    return _check_entries(parse_catalog(text), source="imported", tag=False)
+    return _check_entries(parse_catalog(text), source="imported")

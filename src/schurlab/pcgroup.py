@@ -11,6 +11,9 @@ Arithmetic is collection-from-the-left.  The collector optionally tracks one
 central integer "tail" per relation; that powers the Schur-multiplier
 computation in the multiplier module.
 
+A ``PcPresentation`` is valid by construction: it checks its own orders,
+declared prime and relation words once, when it is made, and a failure names
+the field or relation at fault.  The catalog parser checks line syntax only.
 A presentation runs its overlap tests once, the first time catalog load,
 ``PcGroup`` or ``group_of`` asks whether it is consistent.
 """
@@ -31,7 +34,12 @@ DEFAULT_CAP = 200_000
 
 
 class PcError(Exception):
-    pass
+    """``where`` names the field or relation a malformed presentation fails
+    at: "orders", "prime", ("pow", i) or ("comm", j, i), indices 1-based."""
+
+    def __init__(self, message: str, where=None):
+        super().__init__(message)
+        self.where = where
 
 
 class CatalogSyntaxError(PcError):
@@ -88,34 +96,41 @@ class PcPresentation:
         """Failed overlap tests (empty when consistent), run once per object."""
         return tuple(check_consistency(self))
 
-    def validate(self) -> None:
-        n = self.ngens
+    def __post_init__(self) -> None:
+        """Reject a malformed presentation, so every object is valid."""
         for o in self.relative_orders:
             if not is_prime(o):
-                raise PcError(f"{self.name}: relative order {o} is not prime")
-        if len(self.power_words) != n:
-            raise PcError(f"{self.name}: expected {n} power words")
+                raise PcError(f"{self.name}: relative order {o} is not prime", "orders")
+        if self.prime is not None and not is_prime(self.prime):
+            raise PcError(f"{self.name}: prime = {self.prime} is not prime", "prime")
+        if len(self.power_words) != self.ngens:
+            raise PcError(f"{self.name}: expected {self.ngens} power words")
         for i, w in enumerate(self.power_words):
-            self._validate_word(w, min_index=i + 1, what=f"pow {i + 1}")
+            self._check_word(w, i + 1, ("pow", i + 1))
         for (j, i), w in self.comm_words:
-            if not (0 <= i < j < n):
-                raise PcError(f"{self.name}: bad commutator pair ({j + 1},{i + 1})")
-            self._validate_word(w, min_index=j + 1, what=f"comm {j + 1} {i + 1}")
+            where = ("comm", j + 1, i + 1)
+            if not 0 <= i < j < self.ngens:
+                raise PcError(f"{self.name}: bad commutator pair ({j + 1},{i + 1})", where)
+            self._check_word(w, j + 1, where)
         if self.prime is not None and any(o != self.prime for o in self.relative_orders):
-            raise PcError(f"{self.name}: declared prime {self.prime} does not match orders")
+            raise PcError(
+                f"{self.name}: declared prime {self.prime} does not match orders", "prime"
+            )
 
-    def _validate_word(self, w: Word, min_index: int, what: str) -> None:
+    def _check_word(self, w: Word, min_index: int, where: tuple) -> None:
         prev = -1
         for g, e in w:
-            if not (min_index <= g < self.ngens):
-                raise PcError(
-                    f"{self.name}: {what}: generator g{g + 1} violates the index constraint"
-                )
-            if g <= prev:
-                raise PcError(f"{self.name}: {what}: indices must be strictly increasing")
-            if not (1 <= e < self.relative_orders[g]):
-                raise PcError(f"{self.name}: {what}: exponent {e} out of range for g{g + 1}")
-            prev = g
+            if not min_index <= g < self.ngens:
+                problem = f"generator g{g + 1} violates the index constraint"
+            elif g <= prev:
+                problem = "indices must be strictly increasing"
+            elif not 1 <= e < self.relative_orders[g]:
+                problem = f"exponent {e} out of range for g{g + 1}"
+            else:
+                prev = g
+                continue
+            what = " ".join(map(str, where))
+            raise PcError(f"{self.name}: {what}: {problem}", where)
 
     def to_catalog_text(self) -> str:
         lines = ["[group]", f"name = {self.name}"]
@@ -145,15 +160,13 @@ def make_presentation(
     cw = tuple(sorted((pair, tuple(w)) for pair, w in (comm_words or {}).items() if w))
     if prime is None and orders and all(o == orders[0] for o in orders):
         prime = orders[0]
-    pres = PcPresentation(
+    return PcPresentation(
         name=name,
         relative_orders=tuple(orders),
         power_words=pw,
         comm_words=cw,
         prime=prime,
     )
-    pres.validate()
-    return pres
 
 
 def format_word(w: Word) -> str:
@@ -347,9 +360,6 @@ class Subgroup:
     def __contains__(self, w: NormalWord) -> bool:
         return w in self.elements
 
-    def __le__(self, other: "Subgroup") -> bool:
-        return self.elements <= other.elements
-
     def is_trivial(self) -> bool:
         return self.order == 1
 
@@ -389,14 +399,12 @@ class PcGroup:
 
     MEMO_ORDER_LIMIT = 4096
 
-    def __init__(self, pres: PcPresentation, cap: int = DEFAULT_CAP):
-        pres.validate()
+    def __init__(self, pres: PcPresentation):
         if pres.violations:
             raise InconsistentPresentation(
                 f"{pres.name}: " + "; ".join(str(v) for v in pres.violations[:5])
             )
         self.pres = pres
-        self.cap = cap
         self.collector = Collector(pres, tails=False)
         self.identity: NormalWord = (0,) * pres.ngens
         self._mcache: Optional[dict] = {} if pres.order <= self.MEMO_ORDER_LIMIT else None
@@ -491,9 +499,9 @@ class PcGroup:
     # -- enumeration and subgroups -------------------------------------------
 
     def elements(self) -> list[NormalWord]:
-        if self.order > self.cap:
+        if self.order > DEFAULT_CAP:
             raise EnumerationCapExceeded(
-                f"{self.pres.name}: order {self.order} exceeds cap {self.cap}"
+                f"{self.pres.name}: order {self.order} exceeds cap {DEFAULT_CAP}"
             )
         return list(itertools.product(*[range(o) for o in self.pres.relative_orders]))
 
@@ -506,9 +514,9 @@ class PcGroup:
             for s in gens:
                 y = self.multiply(x, s)
                 if y not in elems:
-                    if len(elems) >= self.cap:
+                    if len(elems) >= DEFAULT_CAP:
                         raise EnumerationCapExceeded(
-                            f"{self.pres.name}: subgroup closure exceeds cap {self.cap}"
+                            f"{self.pres.name}: subgroup closure exceeds cap {DEFAULT_CAP}"
                         )
                     elems.add(y)
                     frontier.append(y)
@@ -558,6 +566,11 @@ class PcGroup:
     def lower_central_series(self) -> list[Subgroup]:
         """[γ1, γ2, ...] down to (and including) the trivial subgroup."""
         return list(self._lower_central)
+
+    def gamma(self, m: int) -> Subgroup:
+        """γ_m, or the trivial subgroup past the end of the series."""
+        lcs = self._lower_central
+        return lcs[m - 1] if m - 1 < len(lcs) else self.trivial_subgroup()
 
     def derived_series(self) -> list[Subgroup]:
         return list(self._derived)
@@ -663,7 +676,7 @@ class PcGroup:
     def nilpotency_class(self) -> int:
         return len(self.lower_central_series()) - 1
 
-    def is_regular(self, sample_budget: int = 512, seed: int = 0) -> Optional[bool]:
+    def is_regular(self) -> Optional[bool]:
         """Exact for |G| <= 81 (exhaustive pairs) and for the standard criteria
         (abelian; class < p; nonabelian 2-group); otherwise a sampled pass
         returns None ("unknown")."""
@@ -681,8 +694,8 @@ class PcGroup:
         if self.order <= 81:
             pairs, verdict = ((a, b) for a in elems for b in elems), True
         else:
-            rng = random.Random(seed)
-            pairs = ((rng.choice(elems), rng.choice(elems)) for _ in range(sample_budget))
+            rng = random.Random(0)
+            pairs = ((rng.choice(elems), rng.choice(elems)) for _ in range(512))
             verdict = None
         targets: dict[frozenset, frozenset] = {}
         if all(self._regular_pair(a, b, p, targets) for a, b in pairs):
@@ -708,10 +721,9 @@ class PcGroup:
             targets[key] = target
         return s in target
 
-    def classify(self, regular_sample_budget: int = 512) -> GroupFlags:
+    def classify(self) -> GroupFlags:
         p = self.pres.prime
-        lcs = self.lower_central_series()
-        cls = len(lcs) - 1
+        cls = self.nilpotency_class()
         dlen = len(self.derived_series()) - 1
         expo = self.exponent()
         central_exp = self.exponent(modulo=self.center())
@@ -727,14 +739,11 @@ class PcGroup:
                 is_powerful = gamma2.elements <= self.power_subgroup(4).elements
             else:
                 is_powerful = gamma2.elements <= gp.elements
-            # lcs[k] is γ_{k+1}, so γ_m = lcs[m - 1]
             for m in range(2, p):
-                gamma_m = lcs[m - 1] if m - 1 < len(lcs) else self.trivial_subgroup()
-                if gamma_m.elements <= gp.elements:
+                if self.gamma(m).elements <= gp.elements:
                     condition1_m = m
                     break
-            gamma_p = lcs[p - 1] if p - 1 < len(lcs) else self.trivial_subgroup()
-            condition2 = gamma_p.elements <= self.power_subgroup(p * p).elements
+            condition2 = self.gamma(p).elements <= self.power_subgroup(p * p).elements
             n = 0
             e = central_exp
             while e > 1:
@@ -748,7 +757,7 @@ class PcGroup:
             nilpotency_class=cls,
             derived_length=dlen,
             exponent=expo,
-            is_regular=self.is_regular(sample_budget=regular_sample_budget),
+            is_regular=self.is_regular(),
             is_powerful=is_powerful,
             condition1_m=condition1_m,
             condition2=condition2,
@@ -758,16 +767,24 @@ class PcGroup:
 
 
 @lru_cache(maxsize=None)
-def group_of(pres: PcPresentation, cap: int = DEFAULT_CAP) -> PcGroup:
-    return PcGroup(pres, cap=cap)
+def group_of(pres: PcPresentation) -> PcGroup:
+    return PcGroup(pres)
 
 
 # -- catalog text format -------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"^g(\d+)(?:\^(\d+))?$")
+_RELATION_RE = re.compile(r"^(pow|comm)((?:\s+\d+)+)\s*:\s*(.*)$")
+_ARITY = {"pow": 1, "comm": 2}
+_KEYS = {
+    "name": str,
+    "prime": int,
+    "ngens": int,
+    "orders": lambda value: [int(t) for t in value.split()],
+}
 
 
-def _parse_word(tokens: str, lineno: int, ngens: int) -> Word:
+def _parse_word(tokens: str, lineno: int) -> Word:
     out = []
     for tok in tokens.split():
         m = _TOKEN_RE.match(tok)
@@ -775,18 +792,19 @@ def _parse_word(tokens: str, lineno: int, ngens: int) -> Word:
             raise CatalogSyntaxError(lineno, f"bad word token {tok!r}")
         g = int(m.group(1))
         e = int(m.group(2)) if m.group(2) else 1
-        if not 1 <= g <= ngens:
-            raise CatalogSyntaxError(lineno, f"generator g{g} out of range (ngens={ngens})")
-        if e < 1:
-            raise CatalogSyntaxError(lineno, f"exponent must be >= 1 in {tok!r}")
-        if out and g - 1 <= out[-1][0]:
-            raise CatalogSyntaxError(lineno, f"indices must be strictly increasing at {tok!r}")
         out.append((g - 1, e))
     return tuple(out)
 
 
 def parse_catalog(text: str) -> list[PcPresentation]:
-    """Parse the line-oriented catalog format; consistency is NOT checked here."""
+    """Parse the line-oriented catalog format; consistency is NOT checked here.
+
+    The parser checks line syntax only: tokens, integers, keys, relation
+    headers (``pow i`` with 1 <= i <= ngens, ``comm j i`` with
+    1 <= i < j <= ngens), repeated keys and relations, and each block's name,
+    ngens and orders.  Every other rule is ``PcPresentation``'s; its failure
+    is reported at the line of the field or relation it names.
+    """
     blocks: list[tuple[int, list[tuple[int, str]]]] = []
     current: Optional[list[tuple[int, str]]] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -804,98 +822,64 @@ def parse_catalog(text: str) -> list[PcPresentation]:
     presentations = []
     seen_names = set()
     for start_line, lines in blocks:
-        name = None
-        prime = None
-        ngens = None
-        orders: Optional[list[int]] = None
-        power_words: dict[int, tuple[int, Word]] = {}
-        comm_words: dict[tuple[int, int], tuple[int, Word]] = {}
+        fields: dict = {}
+        relations: dict[tuple, Word] = {}
+        line_of: dict = {}  # field or relation -> its line
         for lineno, line in lines:
             if "=" in line and not line.startswith(("pow", "comm")):
                 key, _, value = line.partition("=")
                 key = key.strip()
                 value = value.strip()
+                if key not in _KEYS:
+                    raise CatalogSyntaxError(lineno, f"unknown key {key!r}")
+                if key in line_of:
+                    raise CatalogSyntaxError(lineno, f"repeated {key}")
                 try:
-                    if key == "name":
-                        name = value
-                    elif key == "prime":
-                        prime, prime_line = int(value), lineno
-                        if not is_prime(prime):
-                            raise CatalogSyntaxError(lineno, f"prime = {prime} is not prime")
-                    elif key == "ngens":
-                        ngens = int(value)
-                    elif key == "orders":
-                        orders = [int(t) for t in value.split()]
-                        for o in orders:
-                            if not is_prime(o):
-                                raise CatalogSyntaxError(lineno, f"relative order {o} is not prime")
-                    else:
-                        raise CatalogSyntaxError(lineno, f"unknown key {key!r}")
+                    fields[key] = _KEYS[key](value)
                 except ValueError:
-                    raise CatalogSyntaxError(lineno, f"{key} = {value!r}: not an integer") from None
+                    msg = f"{key} = {value!r}: not an integer"
+                    raise CatalogSyntaxError(lineno, msg) from None
+                line_of[key] = lineno
                 continue
-            m = re.match(r"^pow\s+(\d+)\s*:\s*(.*)$", line)
-            if m:
-                if ngens is None:
-                    raise CatalogSyntaxError(lineno, "pow before ngens")
-                i = int(m.group(1))
-                if not 1 <= i <= ngens:
-                    raise CatalogSyntaxError(lineno, f"pow index {i} out of range")
-                word = _parse_word(m.group(2), lineno, ngens)
-                for g, _e in word:
-                    if g + 1 <= i:
-                        raise CatalogSyntaxError(
-                            lineno, f"pow {i} word references g{g + 1} (must exceed {i})"
-                        )
-                if i - 1 in power_words:
-                    raise CatalogSyntaxError(lineno, f"repeated pow {i}")
-                power_words[i - 1] = (lineno, word)
-                continue
-            m = re.match(r"^comm\s+(\d+)\s+(\d+)\s*:\s*(.*)$", line)
-            if m:
-                if ngens is None:
-                    raise CatalogSyntaxError(lineno, "comm before ngens")
-                j, i = int(m.group(1)), int(m.group(2))
-                if not (1 <= i < j <= ngens):
-                    raise CatalogSyntaxError(lineno, f"comm requires j > i, got ({j},{i})")
-                word = _parse_word(m.group(3), lineno, ngens)
-                for g, _e in word:
-                    if g + 1 <= j:
-                        raise CatalogSyntaxError(
-                            lineno, f"comm {j} {i} word references g{g + 1} (must exceed {j})"
-                        )
-                if (j - 1, i - 1) in comm_words:
-                    raise CatalogSyntaxError(lineno, f"repeated comm {j} {i}")
-                comm_words[(j - 1, i - 1)] = (lineno, word)
-                continue
-            raise CatalogSyntaxError(lineno, f"unrecognized line {line!r}")
+            m = _RELATION_RE.match(line)
+            if not m or len(m.group(2).split()) != _ARITY[m.group(1)]:
+                raise CatalogSyntaxError(lineno, f"unrecognized line {line!r}")
+            kind = m.group(1)
+            ngens = fields.get("ngens")
+            if ngens is None:
+                raise CatalogSyntaxError(lineno, f"{kind} before ngens")
+            rel = (kind, *map(int, m.group(2).split()))
+            j, i = rel[1], rel[-1]  # pow i has j == i
+            if not 1 <= i <= j <= ngens or (kind == "comm" and i == j):
+                need = "1 <= i <= ngens" if kind == "pow" else "1 <= i < j <= ngens"
+                raise CatalogSyntaxError(lineno, f"{kind} indices out of range: {need}")
+            if rel in line_of:
+                raise CatalogSyntaxError(lineno, f"repeated {' '.join(map(str, rel))}")
+            relations[rel] = _parse_word(m.group(3), lineno)
+            line_of[rel] = lineno
 
+        name = fields.get("name")
         if name is None:
             raise CatalogSyntaxError(start_line, "missing name")
         if name in seen_names:
             raise CatalogSyntaxError(start_line, f"duplicate group name {name!r}")
         seen_names.add(name)
+        ngens, orders = fields.get("ngens"), fields.get("orders")
         if ngens is None or orders is None:
             raise CatalogSyntaxError(start_line, f"{name}: missing ngens/orders")
         if len(orders) != ngens:
             raise CatalogSyntaxError(start_line, f"{name}: orders count != ngens")
-        for lineno, w in sorted([*power_words.values(), *comm_words.values()]):
-            for g, e in w:
-                if e >= orders[g]:
-                    raise CatalogSyntaxError(lineno, f"exponent {e} >= order of g{g + 1}")
-        if prime is not None and any(o != prime for o in orders):
-            raise CatalogSyntaxError(
-                prime_line, f"{name}: declared prime {prime} does not match orders"
-            )
         try:
             pres = make_presentation(
                 name,
                 orders,
-                power_words={i: w for i, (_l, w) in power_words.items()},
-                comm_words={pair: w for pair, (_l, w) in comm_words.items()},
-                prime=prime,
+                power_words={r[1] - 1: w for r, w in relations.items() if r[0] == "pow"},
+                comm_words={
+                    (r[1] - 1, r[2] - 1): w for r, w in relations.items() if r[0] == "comm"
+                },
+                prime=fields.get("prime"),
             )
         except PcError as exc:
-            raise CatalogSyntaxError(start_line, str(exc)) from exc
+            raise CatalogSyntaxError(line_of.get(exc.where, start_line), str(exc)) from exc
         presentations.append(pres)
     return presentations

@@ -66,7 +66,6 @@ def profile(
     group = group_of(pres)
     flags = group.classify()
     p = pres.prime
-    lcs = group.lower_central_series()
     gamma2_exp = group.gamma2.exponent()
     central_quot_exp = group.exponent(modulo=group.center())
 
@@ -95,7 +94,7 @@ def profile(
     if p is not None and p % 2 == 1 and c >= 3:
         m = -((c + 1) // -3)
         if 2 <= m <= p + 1:
-            gamma_m = lcs[m - 1] if m - 1 < len(lcs) else group.trivial_subgroup()
+            gamma_m = group.gamma(m)
             r8_m = m
             r8_gamma = gamma_m.exponent()
             r8_quot = group.exponent(modulo=gamma_m)

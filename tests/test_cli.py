@@ -156,12 +156,15 @@ def test_console_script_runs():
         (["verify", "--oracle-cap", "82"], 2, "hard limit"),
         (["verify", "--jobs", "0"], 2, "at least 1"),
         (["verify", "--jobs", "-4"], 2, "at least 1"),
+        (["verify", "--max-order", "1", "--catalog", "{repeated_ngens}"], 2, "repeated ngens"),
     ],
 )
 def test_exit_codes_without_traceback(args, code, message, tmp_path):
     bad = tmp_path / "ngens_two.cat"
     bad.write_text("[group]\nname = x\nngens = two\norders = 2 2\n")
-    args = [a.format(ngens_two=bad) for a in args]
+    repeated = tmp_path / "repeated_ngens.cat"
+    repeated.write_text("[group]\nname = x\nngens = 1\nngens = 2\norders = 2 2\n")
+    args = [a.format(ngens_two=bad, repeated_ngens=repeated) for a in args]
     proc = subprocess.run(
         [sys.executable, "-m", "schurlab.cli", *args], capture_output=True, text=True
     )

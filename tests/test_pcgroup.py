@@ -187,13 +187,91 @@ def test_parse_catalog_errors():
         "pow 1 : g3 g2",  # indices not increasing
         "pow 1 : g2\npow 1 : g2^2",  # the second line repeats a relation
         "comm 3 1 : g4\ncomm 3 1 : g4^2",
+        "comm 1 2 :",  # an empty word does not excuse a bad header
+        "comm 2 2 :",
     ):
         with pytest.raises(CatalogSyntaxError) as excinfo:
             parse_catalog(f"[group]\nname = w\nngens = 4\norders = 3 3 3 3\n{line}\n")
         assert excinfo.value.lineno == 5 + line.count("\n"), line
-    with pytest.raises(CatalogSyntaxError) as excinfo:  # declared prime vs orders
-        parse_catalog("[group]\nname = v\nprime = 3\nngens = 2\norders = 2 2\n")
-    assert excinfo.value.lineno == 3
+    for prime in (3, 4):  # declared prime vs orders; a declared prime that is not prime
+        with pytest.raises(CatalogSyntaxError) as excinfo:
+            parse_catalog(f"[group]\nname = v\nprime = {prime}\nngens = 2\norders = 2 2\n")
+        assert excinfo.value.lineno == 3
+    for line in ("name = b", "ngens = 2", "orders = 2 2", "prime = 2"):
+        with pytest.raises(CatalogSyntaxError, match="repeated") as excinfo:
+            parse_catalog(f"[group]\nname = a\nprime = 3\nngens = 1\norders = 3\n{line}\n")
+        assert excinfo.value.lineno == 6, line
+
+
+def _random_presentation(rng, equal_orders):
+    n = rng.randint(2, 5)
+    if equal_orders:
+        orders = [rng.choice((2, 3, 5))] * n
+    else:
+        orders = [rng.choice((2, 3, 5)) for _ in range(n)]
+
+    def word(low, min_len=0):
+        gens = sorted(rng.sample(range(low, n), rng.randint(min_len, n - low)))
+        return tuple((g, rng.randrange(1, orders[g])) for g in gens)
+
+    return make_presentation(
+        "r",
+        orders,
+        power_words={i: word(i + 1, min_len=int(i == 0)) for i in range(n)},
+        comm_words={(j, i): word(j + 1) for j in range(n) for i in range(j)},
+    )
+
+
+def _corrupt(lines, corruption, rng):
+    """Corrupt exactly one line of a valid block; return the 1-based line at fault."""
+    if corruption == "repeat":
+        k = rng.randrange(1, len(lines))
+        at = rng.randint(k + 1, len(lines))
+        lines.insert(at, lines[k])
+        return at + 1
+    if corruption == "composite":
+        k = next(k for k, line in enumerate(lines) if line.startswith("orders"))
+        orders = lines[k].split("=")[1].split()
+        g = rng.randrange(len(orders))
+        orders[g] = str(int(orders[g]) ** 2)
+        lines[k] = "orders = " + " ".join(orders)
+        return k + 1
+    if corruption == "prime":
+        k = next(k for k, line in enumerate(lines) if line.startswith("prime"))
+        p = int(lines[k].split("=")[1])
+        lines[k] = f"prime = {rng.choice([q for q in (2, 3, 5, 7) if q != p])}"
+        return k + 1
+    k = rng.choice([k for k, line in enumerate(lines) if line.startswith(("pow", "comm"))])
+    header, _, word = lines[k].partition(" : ")
+    tokens = word.split()
+    if corruption == "exponent":
+        t = rng.randrange(len(tokens))
+        g = int(tokens[t][1:].split("^")[0])
+        orders = next(line for line in lines if line.startswith("orders")).split()[2:]
+        tokens[t] = f"g{g}^{int(orders[g - 1]) + rng.randint(0, 2)}"
+    elif corruption == "non_increasing":
+        tokens.append(tokens[0])
+    else:  # a generator whose index does not exceed the header's first index
+        tokens.insert(0, f"g{header.split()[1]}")
+    lines[k] = f"{header} : {' '.join(tokens)}"
+    return k + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(
+        ["exponent", "non_increasing", "low_generator", "composite", "prime", "repeat"]
+    ),
+)
+def test_one_corrupted_line_is_reported_at_that_line(seed, corruption):
+    rng = random.Random(seed)
+    pres = _random_presentation(rng, equal_orders=corruption == "prime" or rng.random() < 0.5)
+    lines = pres.to_catalog_text().splitlines()
+    lineno = _corrupt(lines, corruption, rng)
+    with pytest.raises(CatalogSyntaxError) as excinfo:
+        parse_catalog("\n".join(lines) + "\n")
+    assert excinfo.value.lineno == lineno, (lines, str(excinfo.value))
 
 
 _numbers = st.integers(-2, 12).map(str) | st.sampled_from(["two", "2 2", "3 3 3", "5 x", ""])
