@@ -37,6 +37,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         rules = None
     else:
         rules = tuple(r.strip() for r in args.rules.split(",") if r.strip())
+        if not rules:
+            raise UsageError("--rules selects no rule")
         unknown = [r for r in rules if r not in RULE_IDS]
         if unknown:
             raise UsageError(f"unknown rules {unknown}; valid: {', '.join(RULE_IDS)}")

@@ -92,6 +92,38 @@ def _find_identity(table: list[list[int]]) -> int:
     raise MultiplierError("table has no identity element")
 
 
+def _span(table: list[list[int]], e: int, gens: Sequence[int]) -> set[int]:
+    """The subgroup generated by ``gens``: closure of {e} under right
+    multiplication by them (in a finite group the monoid is the group)."""
+    span, frontier = {e}, [e]
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            y = table[x][s]
+            if y not in span:
+                span.add(y)
+                frontier.append(y)
+    return span
+
+
+def _generating_set(table: list[list[int]], e: int) -> list[int]:
+    """An irredundant generating set read off the table alone: a greedy
+    closure, then drop every element the others already generate.  For a
+    p-group it has d(G) elements (Burnside basis theorem)."""
+    m = len(table)
+    gens: list[int] = []
+    span = {e}
+    for g in range(m):
+        if g not in span:
+            gens.append(g)
+            span = _span(table, e, gens)
+    for s in list(gens):
+        rest = [t for t in gens if t != s]
+        if len(_span(table, e, rest)) == m:
+            gens = rest
+    return gens
+
+
 def bar_homology(
     table: list[list[int]], degree: int, cap: int = DEFAULT_ORACLE_CAP
 ) -> AbelianInvariants:
@@ -99,6 +131,15 @@ def bar_homology(
 
     d2[g|h] = [h] - [gh] + [g] and d3[g|h|k] = [h|k] - [gh|k] + [g|hk] - [g|h],
     with tuples containing the identity dropped.
+
+    im d3 is spanned by the rows d3[g|h|s] with s in an irredundant generating
+    set S of G, read off the table: d3∘d4 = 0 on [a|b|c|d] gives
+    d3[a|b|cd] = d3[b|c|d] - d3[ab|c|d] + d3[a|bc|d] + d3[a|b|c], so induction
+    on the length of k as a word in S writes every d3[a|b|k] with ±1
+    coefficients.  The lattice is the same, not just one of the same rank.
+    All d2 rows are kept (restricting them grows coefficients).  The C2
+    coordinates are numbered from the last pair [g|h] down, so the lattice
+    pivots on the heaviest pairs first and fill-in stays small.
     """
     if degree not in (1, 2):
         raise MultiplierError("only degrees 1 and 2 are supported")
@@ -140,11 +181,12 @@ def bar_homology(
             raise MultiplierError(f"H1 free rank {free} nonzero for a finite group")
         return AbelianInvariants(torsion)
 
-    idx2 = {gh: i for i, gh in enumerate(pairs)}
+    idx2 = {gh: i for i, gh in enumerate(reversed(pairs))}
+    gens = _generating_set(table, e)
     d3_lattice = LatticeBasis(len(pairs))
     for g, h in pairs:
         gh = table[g][h]
-        for k in nontriv:
+        for k in gens:
             hk = table[h][k]
             vec = chain((((h, k), 1), ((gh, k), -1), ((g, hk), 1), ((g, h), -1)), idx2)
             if vec:

@@ -157,6 +157,8 @@ def test_console_script_runs():
         (["verify", "--jobs", "0"], 2, "at least 1"),
         (["verify", "--jobs", "-4"], 2, "at least 1"),
         (["verify", "--max-order", "1", "--catalog", "{repeated_ngens}"], 2, "repeated ngens"),
+        (["verify", "--rules", ""], 2, "--rules selects no rule"),
+        (["verify", "--rules", ","], 2, "--rules selects no rule"),
     ],
 )
 def test_exit_codes_without_traceback(args, code, message, tmp_path):
