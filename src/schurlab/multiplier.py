@@ -76,10 +76,9 @@ class AbelianInvariants:
 
 
 def multiplication_table(group: PcGroup) -> list[list[int]]:
-    """Square index table over the sorted element list: entry [g][h] = gh."""
-    elems = sorted(group.elements())
-    index = {w: i for i, w in enumerate(elems)}
-    return [[index[group.multiply(u, v)] for v in elems] for u in elems]
+    """Square index table over the lexicographic element list: entry [g][h] = gh."""
+    elems = group.elements()
+    return [[group.position(group.multiply(u, v)) for v in elems] for u in elems]
 
 
 def _find_identity(table: list[list[int]]) -> int:

@@ -390,11 +390,19 @@ class GroupFlags:
 class PcGroup:
     """Arithmetic and structure for one consistent pc presentation.
 
-    All element operations are word-level (no index tables); small groups get
-    an unbounded product memo so closure-heavy analyses amortize to dict hits.
-    The lower central and derived series, the center, γ₂, exponents and the
-    k-th power sets and subgroups are computed once and kept; γ₂ is enumerated
-    without enumerating the group.
+    A group of order at most ``DEFAULT_CAP`` computes by index tables
+    (Leedham-Green–Soicher, "Collection from the left and other strategies",
+    JSC 9, 1990): ``elements()`` is the lexicographic list of normal words,
+    and each pc generator g has a right-multiplication column, entry x the
+    index of x·g, filled on demand by one single-letter collection.  A
+    product u·v walks u's index down the columns of v's letters, at most
+    n(p−1) lookups, and an inverse walks u down to the identity.  Groups of
+    order at most ``MEMO_ORDER_LIMIT`` also keep every product in a pair
+    memo, so repeated products are one dict hit.  Larger groups collect each
+    product word by word and build nothing of size |G|.  Every k-th power of
+    an element is computed once.  The lower central and derived series, the
+    center, γ₂, exponents and the k-th power sets and subgroups are computed
+    once and kept; γ₂ is enumerated without enumerating the group.
     """
 
     MEMO_ORDER_LIMIT = 4096
@@ -408,6 +416,10 @@ class PcGroup:
         self.collector = Collector(pres, tails=False)
         self.identity: NormalWord = (0,) * pres.ngens
         self._mcache: Optional[dict] = {} if pres.order <= self.MEMO_ORDER_LIMIT else None
+        self._tabled = pres.order <= DEFAULT_CAP
+        # right-multiplication columns, one per generator once it is first used
+        self._right: list[Optional[list[int]]] = [None] * pres.ngens
+        self._pcache: dict[tuple[NormalWord, int], NormalWord] = {}
         self._ocache: dict[NormalWord, int] = {}
         self._icache: dict[NormalWord, NormalWord] = {}
         self._exponents: dict[Optional[frozenset[NormalWord]], int] = {}
@@ -442,29 +454,68 @@ class PcGroup:
             key = (u, v)
             w = cache.get(key)
             if w is None:
-                w = self.collector.collect(word_of(u) + word_of(v))[0]
+                w = self._product(u, v)
                 cache[key] = w
             return w
-        return self.collector.collect(word_of(u) + word_of(v))[0]
+        return self._product(u, v)
+
+    def _product(self, u: NormalWord, v: NormalWord) -> NormalWord:
+        if not self._tabled:
+            return self.collector.collect(word_of(u) + word_of(v))[0]
+        if v not in self._index:
+            v = self.normalize(word_of(v))
+        x = self.position(u)
+        for g, e in enumerate(v):
+            if e:
+                x = self._step(x, g, e)
+        return self._words[x]
+
+    def _step(self, x: int, g: int, e: int) -> int:
+        """Index of (element x)·g^e, e steps down column g."""
+        col = self._right[g]
+        if col is None:
+            col = self._right[g] = [-1] * self.order
+        for _ in range(e):
+            y = col[x]
+            if y < 0:
+                y = self._index[self.normalize(word_of(self._words[x]) + ((g, 1),))]
+                col[x] = y
+            x = y
+        return x
 
     def inverse(self, u: NormalWord) -> NormalWord:
         w = self._icache.get(u)
         if w is None:
-            w = self.normalize(tuple((g, -e) for g, e in reversed(word_of(u))))
+            if self._tabled:
+                # u·g1^k1·g2^k2··· = 1, each ki chosen to clear exponent i
+                x = self.position(u)
+                ks = []
+                for g, o in enumerate(self.pres.relative_orders):
+                    e = self._words[x][g]
+                    if e:
+                        x = self._step(x, g, o - e)
+                    ks.append((o - e) % o)
+                w = tuple(ks)
+            else:
+                w = self.normalize(tuple((g, -e) for g, e in reversed(word_of(u))))
             self._icache[u] = w
         return w
 
     def power(self, u: NormalWord, k: int) -> NormalWord:
-        if k < 0:
-            u = self.inverse(u)
-            k = -k
-        result = self.identity
-        base = u
-        while k:
-            if k & 1:
-                result = self.multiply(result, base)
-            base = self.multiply(base, base)
-            k >>= 1
+        key = (u, k)
+        result = self._pcache.get(key)
+        if result is None:
+            base = u
+            if k < 0:
+                base = self.inverse(u)
+                k = -k
+            result = self.identity
+            while k:
+                if k & 1:
+                    result = self.multiply(result, base)
+                base = self.multiply(base, base)
+                k >>= 1
+            self._pcache[key] = result
         return result
 
     def conjugate(self, g: NormalWord, u: NormalWord) -> NormalWord:
@@ -498,12 +549,28 @@ class PcGroup:
 
     # -- enumeration and subgroups -------------------------------------------
 
-    def elements(self) -> list[NormalWord]:
-        if self.order > DEFAULT_CAP:
+    def elements(self) -> tuple[NormalWord, ...]:
+        """Every normal word, in lexicographic order, built once."""
+        if not self._tabled:
             raise EnumerationCapExceeded(
                 f"{self.pres.name}: order {self.order} exceeds cap {DEFAULT_CAP}"
             )
-        return list(itertools.product(*[range(o) for o in self.pres.relative_orders]))
+        return self._words
+
+    def position(self, w: NormalWord) -> int:
+        """Index of the element w in ``elements()``."""
+        x = self._index.get(w)
+        if x is None:
+            x = self._index[self.normalize(word_of(w))]
+        return x
+
+    @cached_property
+    def _words(self) -> tuple[NormalWord, ...]:
+        return tuple(itertools.product(*[range(o) for o in self.pres.relative_orders]))
+
+    @cached_property
+    def _index(self) -> dict[NormalWord, int]:
+        return {w: i for i, w in enumerate(self.elements())}
 
     def closure(self, gens: Iterable[NormalWord]) -> frozenset[NormalWord]:
         elems = {self.identity}
@@ -766,8 +833,10 @@ class PcGroup:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def group_of(pres: PcPresentation) -> PcGroup:
+    """The group of ``pres``, kept with its memo and tables while it is among
+    the few most recently asked for."""
     return PcGroup(pres)
 
 

@@ -1,11 +1,16 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurlab.multiplier import schur_cover
 from schurlab.pcgroup import (
+    DEFAULT_CAP,
     CatalogSyntaxError,
+    Collector,
+    EnumerationCapExceeded,
     InconsistentPresentation,
     PcGroup,
     check_consistency,
@@ -68,6 +73,64 @@ def test_associativity_sampled(groups):
             assert group.multiply(group.multiply(u, v), w) == group.multiply(
                 u, group.multiply(v, w)
             )
+
+
+def _random_element(group, rng):
+    return tuple(rng.randrange(o) for o in group.pres.relative_orders)
+
+
+def _inverse_word(u):
+    return tuple((g, -e) for g, e in reversed(word_of(u)))
+
+
+def _assert_arithmetic_matches_collection(group, rng, samples):
+    """multiply, inverse and power agree with collecting the words directly."""
+    collect = Collector(group.pres).collect
+    for _ in range(samples):
+        u, v = _random_element(group, rng), _random_element(group, rng)
+        assert group.multiply(u, v) == collect(word_of(u) + word_of(v))[0], (u, v)
+        assert group.inverse(u) == collect(_inverse_word(u))[0], u
+        k = rng.randrange(-20, 21)
+        letters = word_of(u) * k if k >= 0 else _inverse_word(u) * -k
+        assert group.power(u, k) == collect(letters)[0], (u, k)
+
+
+def test_table_arithmetic_matches_collection(bundled):
+    rng = random.Random(1)
+    small = [e.presentation for e in bundled.values() if e.order <= 81]
+    for pres in small + [bundled["modular_625"].presentation]:
+        _assert_arithmetic_matches_collection(PcGroup(pres), rng, 100)
+    # a group above the product memo's limit walks the columns every time
+    cover = schur_cover(bundled["heisenberg_3_x_c3"].presentation).group
+    assert cover.order == 6561 > PcGroup.MEMO_ORDER_LIMIT
+    _assert_arithmetic_matches_collection(cover, rng, 300)
+
+
+def test_elements_built_once_in_lexicographic_order(groups):
+    group = groups("heisenberg_3")
+    elems = group.elements()
+    assert isinstance(elems, tuple) and elems is group.elements()
+    assert list(elems) == sorted(elems)
+    assert [group.position(w) for w in elems] == list(range(group.order))
+
+
+def test_group_above_enumeration_cap_builds_no_tables():
+    group = PcGroup(make_presentation("elementary_2_18", [2] * 18))
+    assert group.order > DEFAULT_CAP
+    rng = random.Random(2)
+    tracemalloc.start()
+    try:
+        for _ in range(200):
+            u, v = _random_element(group, rng), _random_element(group, rng)
+            assert group.multiply(u, v) == tuple(a ^ b for a, b in zip(u, v))
+            assert group.inverse(u) == u
+            assert group.power(u, 3) == u
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # one column of 2^18 indices alone takes 2 MiB
+    with pytest.raises(EnumerationCapExceeded):
+        group.elements()
 
 
 def test_heisenberg_structure(groups):
