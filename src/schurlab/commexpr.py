@@ -9,6 +9,9 @@ Syntax examples:
 Brackets are right-normed, [x,y,z] = [x,[y,z]], and a bracket of two elements
 evaluates with conjugation on the left: [g,h] = g h g^{-1} h^{-1}.
 Exponents are integer combinations of 1, n, and C(n,t).
+
+``Expr.fold`` evaluates every subtree that does not depend on n once, so that
+a tree checked for many n rebuilds none of its letters and brackets.
 """
 from __future__ import annotations
 
@@ -38,11 +41,13 @@ class ExpPoly:
     def binomial(cls, t: int, coeff: int = 1) -> "ExpPoly":
         return cls(((t, coeff),) if coeff else ())
 
+    @property
+    def is_constant(self) -> bool:
+        return all(t == 0 for t, _ in self.terms)
+
     def evaluate(self, n: Optional[int]) -> int:
-        if not self.terms:
-            return 0
-        if len(self.terms) == 1 and self.terms[0][0] == 0:
-            return self.terms[0][1]
+        if self.is_constant:
+            return self.terms[0][1] if self.terms else 0
         if n is None:
             raise ExprError("formal exponent used without a value for n")
         return sum(coeff * math.comb(n, t) for t, coeff in self.terms)
@@ -67,6 +72,27 @@ class Expr:
     ) -> TruncatedSeries:
         raise NotImplementedError
 
+    def fold(self, binding: dict[str, TruncatedSeries]) -> "Expr":
+        """This tree with every subtree free of n (letters, brackets and
+        products of those, powers with a constant exponent) replaced by one
+        ``Constant`` holding its value under ``binding``; adjacent constant
+        factors of a product become one.  ``e.fold(b).evaluate(b, n)`` equals
+        ``e.evaluate(b, n)`` for every n."""
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class Constant(Expr):
+    """A subtree already evaluated by ``Expr.fold``."""
+
+    value: TruncatedSeries
+
+    def evaluate(self, binding, n=None):
+        return self.value
+
+    def fold(self, binding):
+        return self
+
 
 @dataclass(frozen=True)
 class Letter(Expr):
@@ -77,6 +103,9 @@ class Letter(Expr):
             return binding[self.name]
         except KeyError:
             raise ExprError(f"unbound letter {self.name!r}") from None
+
+    def fold(self, binding):
+        return Constant(self.evaluate(binding))
 
     def __str__(self):
         return self.name
@@ -91,6 +120,12 @@ class Bracket(Expr):
             raise ExprError("bracket needs at least two items")
         return right_normed([item.evaluate(binding, n) for item in self.items])
 
+    def fold(self, binding):
+        folded = Bracket(tuple(item.fold(binding) for item in self.items))
+        if all(isinstance(item, Constant) for item in folded.items):
+            return Constant(folded.evaluate(binding))
+        return folded
+
     def __str__(self):
         return "[" + ",".join(str(i) for i in self.items) + "]"
 
@@ -102,6 +137,12 @@ class Power(Expr):
 
     def evaluate(self, binding, n=None):
         return self.base.evaluate(binding, n).power(self.exponent.evaluate(n))
+
+    def fold(self, binding):
+        folded = Power(self.base.fold(binding), self.exponent)
+        if isinstance(folded.base, Constant) and self.exponent.is_constant:
+            return Constant(folded.evaluate(binding))
+        return folded
 
     def __str__(self):
         base = str(self.base)
@@ -121,6 +162,15 @@ class Product(Expr):
         for f in self.factors[1:]:
             acc = acc * f.evaluate(binding, n)
         return acc
+
+    def fold(self, binding):
+        factors: list[Expr] = []
+        for f in self.factors:
+            f = f.fold(binding)
+            if factors and isinstance(f, Constant) and isinstance(factors[-1], Constant):
+                f = Constant(factors.pop().value * f.value)
+            factors.append(f)
+        return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
     def __str__(self):
         return " ".join(

@@ -7,6 +7,12 @@ are verified by comparing series exactly.
 
 Monomials of degree d are packed as base-k integers; a series keeps one
 coefficient dict per degree, which makes truncated multiplication cheap.
+
+Powers come from the binomial series: with u = s - 1, which has no constant
+term, u^{c+1} = 0 and s^n = sum_{t<=c} C(n, t) u^t exactly, for every integer
+n.  A series computes u, u^2, ..., u^c once, on its first power or inverse;
+after that every power of it is a linear combination, with no products, so a
+power costs the same for n = 3 and n = 3000.
 """
 from __future__ import annotations
 
@@ -27,7 +33,15 @@ class NonIntegralExpansion(FreenilError):
 
 
 class TruncatedSeries:
-    __slots__ = ("k", "c", "parts")
+    """An element of the degree-c truncation of Z<x_0, ..., x_{k-1}>.
+
+    Series are immutable after construction: no method changes ``parts`` of
+    an existing series, and callers must not either, because a series keeps
+    the powers of s - (constant term) it has computed (``_upowers``).
+    ``copy()``, ``+`` and ``-`` return new series without those powers.
+    """
+
+    __slots__ = ("k", "c", "parts", "_upowers")
 
     def __init__(self, k: int, c: int, parts: Optional[list[dict[int, int]]] = None):
         self.k = k
@@ -35,6 +49,7 @@ class TruncatedSeries:
         if parts is None:
             parts = [dict() for _ in range(c + 1)]
         self.parts = parts
+        self._upowers: Optional[tuple["TruncatedSeries", ...]] = None
 
     @classmethod
     def one(cls, k: int, c: int) -> "TruncatedSeries":
@@ -107,31 +122,51 @@ class TruncatedSeries:
                             del out[key]
         return TruncatedSeries(k, c, parts)
 
+    def _u_powers(self) -> tuple["TruncatedSeries", ...]:
+        """u, u^2, ..., u^m for u = s - (constant term), where m is the
+        largest t with t * (lowest degree of u) <= c, so u^{m+1} = 0.
+        Computed on the first call and kept."""
+        if self._upowers is None:
+            u = TruncatedSeries(self.k, self.c, [{}, *self.parts[1:]])
+            low = next((d for d, p in enumerate(u.parts) if p), None)
+            powers = []
+            if low is not None:
+                powers.append(u)
+                for _ in range(self.c // low - 1):
+                    powers.append(powers[-1] * u)
+            self._upowers = tuple(powers)
+        return self._upowers
+
     def inverse(self) -> "TruncatedSeries":
-        if self.constant() != 1:
-            raise FreenilError("only series with constant term 1 are inverted")
-        u = self.copy()
-        del u.parts[0][0]  # u = s - 1
-        neg_u = -u
-        acc = TruncatedSeries.one(self.k, self.c)
-        term = TruncatedSeries.one(self.k, self.c)
-        for _ in range(self.c):
-            term = term * neg_u
-            acc = acc + term
-        return acc
+        return self.power(-1)
 
     def power(self, n: int) -> "TruncatedSeries":
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        result = TruncatedSeries.one(self.k, self.c)
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        """s^n = sum_t C(n, t) a^{n-t} u^t with a the constant term and
+        u = s - a; for n < 0, a must be 1 and C(n, t) is the generalised
+        binomial (-1)^t C(t-n-1, t)."""
+        a = self.constant()
+        if n < 0 and a != 1:
+            raise FreenilError("only series with constant term 1 are inverted")
+        if n == 0:
+            return TruncatedSeries.one(self.k, self.c)
+        if n == 1:
+            return self
+        head = a**n
+        parts: list[dict[int, int]] = [{0: head} if head else {}]
+        parts.extend({} for _ in range(self.c))
+        binom = 1
+        for t, ut in enumerate(self._u_powers(), start=1):
+            binom = binom * (n - t + 1) // t  # C(n, t), exact at every step
+            if not binom:
+                break  # 0 <= n < t: every later C(n, t) is 0 too
+            cf = binom if a == 1 else binom * a ** (n - t)
+            for d in range(t, self.c + 1):
+                out = parts[d]
+                for v, x in ut.parts[d].items():
+                    out[v] = out.get(v, 0) + cf * x
+        for d in range(1, self.c + 1):
+            parts[d] = {v: x for v, x in parts[d].items() if x}
+        return TruncatedSeries(self.k, self.c, parts)
 
     def degree_part(self, d: int) -> dict[int, int]:
         return dict(self.parts[d])
@@ -434,9 +469,11 @@ def verify_identity(
     binding: Optional[dict[str, TruncatedSeries]] = None,
 ) -> IdentityReport:
     """Evaluate both commutator expressions in the free class-c group on k
-    letters for each n and compare the series exactly."""
+    letters for each n and compare the series exactly.  The parts free of n
+    are evaluated once (``Expr.fold``), before the loop over n."""
     if binding is None:
         binding = default_binding(k, c)
+    lhs, rhs = lhs.fold(binding), rhs.fold(binding)
     for n in n_range:
         left = lhs.evaluate(binding, n)
         right = rhs.evaluate(binding, n)

@@ -7,6 +7,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import add, itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from . import freenil
@@ -50,6 +51,8 @@ def alpha(m: int, n: int) -> int:
 # combinations form a free abelian group.  A symbol is stored as the tuple
 # (x_{p-1}, ..., x_1) over the alphabet "ab".
 
+_LETTERS = frozenset("ab")
+
 
 @dataclass(frozen=True)
 class FormalSum:
@@ -58,10 +61,13 @@ class FormalSum:
 
     @classmethod
     def from_dict(cls, length: int, d: dict[tuple[str, ...], int]) -> "FormalSum":
-        for t in d:
-            if len(t) != length or any(x not in "ab" for x in t):
-                raise IdentityError(f"bad symbol {t!r}")
-        return cls(length, tuple(sorted((t, c) for t, c in d.items() if c)))
+        if d and (
+            set(map(len, d)) != {length}
+            or not _LETTERS.issuperset(itertools.chain.from_iterable(d))
+        ):
+            bad = next(t for t in d if len(t) != length or not _LETTERS.issuperset(t))
+            raise IdentityError(f"bad symbol {bad!r}")
+        return cls(length, tuple(sorted(filter(itemgetter(1), d.items()))))
 
     def as_dict(self) -> dict[tuple[str, ...], int]:
         return dict(self.terms)
@@ -84,7 +90,8 @@ class FormalSum:
         return not self.terms
 
 
-def symbols_with_b_count(p: int, r: int) -> list[tuple[str, ...]]:
+@lru_cache(maxsize=None)
+def symbols_with_b_count(p: int, r: int) -> tuple[tuple[str, ...], ...]:
     """S_r: the symbols with exactly r slots equal to b (|S_r| = C(p-1, r))."""
     out = []
     for positions in itertools.combinations(range(p - 1), r):
@@ -92,30 +99,47 @@ def symbols_with_b_count(p: int, r: int) -> list[tuple[str, ...]]:
         for pos in positions:
             t[pos] = "b"
         out.append(tuple(t))
-    return out
+    return tuple(out)
 
 
 def e_r(p: int, r: int) -> FormalSum:
     return FormalSum.from_dict(p - 1, {t: 1 for t in symbols_with_b_count(p, r)})
 
 
+@lru_cache(maxsize=None)
+def _symbol_masks(
+    length: int,
+) -> tuple[tuple[tuple[str, ...], ...], dict[tuple[str, ...], int]]:
+    """Every symbol of the given length in sorted order, which lists each at
+    its b-position mask (slot 0 the highest bit), and the mask of each."""
+    symbols = tuple(itertools.product("ab", repeat=length))
+    return symbols, {t: mask for mask, t in enumerate(symbols)}
+
+
 def substitute_ab(s: FormalSum, p: int) -> FormalSum:
     """Replace a with ab: each a-slot independently stays a or becomes b
-    (the inner [b, a] is unchanged since [b, ab] = [b, a])."""
+    (the inner [b, a] is unchanged since [b, ab] = [b, a]).
+
+    A symbol with b-position set S goes to every superset of S, so the
+    result is the subset-sum (zeta) transform of the coefficients over the
+    2^(p-1) masks: one pass per slot, (p-1) 2^(p-2) additions in all."""
     if s.length != p - 1:
         raise IdentityError("symbol length does not match p")
-    out: dict[tuple[str, ...], int] = {}
+    length = p - 1
+    symbols, mask_of = _symbol_masks(length)
+    coeffs = [0] * len(symbols)
     for t, c in s.terms:
-        a_slots = [i for i, x in enumerate(t) if x == "a"]
-        for flip in itertools.chain.from_iterable(
-            itertools.combinations(a_slots, k) for k in range(len(a_slots) + 1)
-        ):
-            d = list(t)
-            for i in flip:
-                d[i] = "b"
-            key = tuple(d)
-            out[key] = out.get(key, 0) + c
-    return FormalSum.from_dict(p - 1, out)
+        coeffs[mask_of[t]] = c
+    half = len(coeffs) // 2
+    for _ in range(length):
+        # The top slot: a mask without it also reaches the mask with it.  Then
+        # rotate every mask left by one bit (interleave the halves), so that
+        # each slot comes to the top once and the last rotation restores the
+        # order.
+        low = coeffs[:half]
+        coeffs[1::2] = map(add, low, coeffs[half:])
+        coeffs[0::2] = low
+    return FormalSum.from_dict(length, {t: c for t, c in zip(symbols, coeffs) if c})
 
 
 def _project_onto_er(s: FormalSum, p: int) -> tuple[int, ...]:
@@ -394,7 +418,9 @@ def _check_l210(part: str, ns: range) -> list[str]:
             continue
         r = -(-(c + 1 - wy) // wx)  # least r with wy + r wx >= c+1
         ba = group_commutator(b, a)
-        term = lru_cache(maxsize=None)(lambda t: right_normed([x] * t + [b, a]))
+        terms = [ba]  # terms[t] = [_t x, b, a] = [x, terms[t-1]]
+        for _ in range(max(ns[-1] - 1, r - 2)):
+            terms.append(group_commutator(x, terms[-1]))
         for n in ns:
             if part == "i":
                 lhs = group_commutator(b.power(n), a)
@@ -403,7 +429,7 @@ def _check_l210(part: str, ns: range) -> list[str]:
             for form, top in (("", n - 1), (" moreover", r - 2)):
                 rhs = TruncatedSeries.one(2, c)
                 for t in range(top, 0, -1):
-                    rhs = rhs * term(t).power(math.comb(n, t + 1))
+                    rhs = rhs * terms[t].power(math.comb(n, t + 1))
                 rhs = rhs * ba.power(n)
                 _expect(failures, f"({part}){form} (i,j,c)=({i},{j},{c}) n={n}", lhs, rhs)
     return failures

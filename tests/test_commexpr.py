@@ -1,7 +1,17 @@
 import pytest
 
-from schurlab.commexpr import Bracket, ExpPoly, ExprError, Letter, Power, Product, parse_expr
+from schurlab.commexpr import (
+    Bracket,
+    Constant,
+    ExpPoly,
+    ExprError,
+    Letter,
+    Power,
+    Product,
+    parse_expr,
+)
 from schurlab.freenil import TruncatedSeries, group_commutator
+from schurlab.identities import L41_I_RHS, L41_II_RHS, L41_III_RHS
 
 
 def bind(k=2, c=4):
@@ -66,3 +76,60 @@ def test_expr_str_roundtrip():
     for text in ("(a b)^n", "(a^2)^3", "[[b,a],a,b,a]^(C(n,3)+2C(n,4)) a^n b^n"):
         expr = parse_expr(text)
         assert parse_expr(str(expr)) == expr
+
+
+EXAMPLES = (
+    "a b a",
+    "[a,b,a]",
+    "[_3 a, b]",
+    "a^(6C(n,3)+18C(n,4)+12C(n,5))",
+    "a^n",
+    "a^(n-1)",
+    "a^3",
+    "[b,a]^2 a b",
+    "(a b)^n",
+    "(a^2)^3",
+    "[[b,a],a,b,a]^(C(n,3)+2C(n,4)) a^n b^n",
+    "[b, a^n]",
+    "b a [b,a]^n a^2 [a,b]",
+)
+
+
+@pytest.mark.parametrize(
+    "text, c",
+    [(t, 4) for t in EXAMPLES]
+    + [
+        ("(a b)^n", 5),
+        pytest.param(L41_I_RHS, 5, id="L4.1i-rhs"),
+        pytest.param(L41_II_RHS, 6, id="L4.1ii-rhs"),
+        ("[b, a^n]", 6),
+        pytest.param(L41_III_RHS, 6, id="L4.1iii-rhs"),
+    ],
+)
+def test_fold_keeps_every_value(text, c):
+    binding = bind(c=c)
+    expr = parse_expr(text)
+    folded = expr.fold(binding)
+    for n in range(26):
+        assert folded.evaluate(binding, n) == expr.evaluate(binding, n)
+
+
+def test_fold_replaces_n_free_subtrees():
+    binding = bind()
+    a, b = binding["a"], binding["b"]
+    assert parse_expr("[b,a]^2 a b").fold(binding) == Constant(
+        group_commutator(b, a).power(2) * a * b
+    )
+    assert parse_expr("(a b)^n").fold(binding) == Power(Constant(a * b), ExpPoly.binomial(1))
+    folded = parse_expr("b a [b,a]^n a^2 [a,b]").fold(binding)
+    assert isinstance(folded, Product)
+    assert [type(f) for f in folded.factors] == [Constant, Power, Constant]
+    assert folded.factors[2].value == a.power(2) * group_commutator(a, b)
+
+
+def test_folded_formal_exponent_still_needs_n():
+    binding = bind()
+    for text in ("a^n", "(a b)^n", "[b, a^n]", "[b,a]^2 a^C(n,2) b"):
+        folded = parse_expr(text).fold(binding)
+        with pytest.raises(ExprError):
+            folded.evaluate(binding, n=None)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurlab.commexpr import parse_expr
 from schurlab.freenil import (
@@ -94,3 +96,67 @@ def test_verify_identity_class3():
 def test_default_binding_letters():
     binding = default_binding(3, 2)
     assert set(binding) == {"a", "b", "c"}
+
+
+@st.composite
+def series(draw, constant=st.just(1), k=None, c=None):
+    """A random series on k in {2, 3} letters, truncated at c in 1..6, with a
+    few terms in each degree."""
+    k = k or draw(st.sampled_from((2, 3)))
+    c = c or draw(st.integers(1, 6))
+    a = draw(constant)
+    parts = [{0: a} if a else {}]
+    for d in range(1, c + 1):
+        terms = draw(st.dictionaries(
+            st.integers(0, k**d - 1), st.integers(-3, 3), max_size=3))
+        parts.append({v: cf for v, cf in terms.items() if cf})
+    return TruncatedSeries(k, c, parts)
+
+
+def repeated_power(s, n):
+    """s^n by |n| products, with s^{-1} = sum_t (1 - s)^t for constant 1."""
+    one = TruncatedSeries.one(s.k, s.c)
+    base = s
+    if n < 0:
+        neg_u = one - s
+        base, term = one, one
+        for _ in range(s.c):
+            term = term * neg_u
+            base = base + term
+    out = one
+    for _ in range(abs(n)):
+        out = out * base
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(series(), st.integers(-8, 40))
+def test_power_and_inverse_match_repeated_products(s, n):
+    one = TruncatedSeries.one(s.k, s.c)
+    assert s.power(n) == repeated_power(s, n)
+    assert s.inverse() == repeated_power(s, -1)
+    assert s * s.inverse() == one
+    assert s.inverse() * s == one
+
+
+@settings(max_examples=60, deadline=None)
+@given(series(constant=st.integers(-3, 3).filter(lambda a: a != 1)), st.integers(-8, 40))
+def test_power_with_other_constant_terms(s, n):
+    if n < 0:
+        with pytest.raises(FreenilError):
+            s.power(n)
+        with pytest.raises(FreenilError):
+            s.inverse()
+    else:
+        assert s.power(n) == repeated_power(s, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(series(), st.integers(-8, 40), st.data())
+def test_new_series_do_not_share_cached_powers(s, n, data):
+    delta = data.draw(series(constant=st.just(0), k=s.k, c=s.c))
+    s.power(2)  # fills the cached powers of s - 1
+    for t in (s.copy(), s + delta, s - delta, -(-s)):
+        assert t._upowers is None
+        assert t.power(n) == repeated_power(t, n)
+        assert not set(map(id, t._u_powers())) & set(map(id, s._u_powers()))

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schurlab.identities import (
     LEMMA_IDS,
@@ -72,6 +76,43 @@ def test_substitute_ab_on_e1():
     assert all(c == 1 for _, c in expanded.terms)
 
 
+def flip_enumeration(s, p):
+    """substitute_ab by listing, for every symbol, each subset of its a-slots
+    turned to b."""
+    out = {}
+    for t, c in s.terms:
+        a_slots = [i for i, x in enumerate(t) if x == "a"]
+        for k in range(len(a_slots) + 1):
+            for flip in itertools.combinations(a_slots, k):
+                d = list(t)
+                for i in flip:
+                    d[i] = "b"
+                out[tuple(d)] = out.get(tuple(d), 0) + c
+    return FormalSum.from_dict(p - 1, out)
+
+
+@st.composite
+def formal_sums(draw):
+    p = draw(st.sampled_from((3, 5, 7)))
+    symbols = st.tuples(*[st.sampled_from("ab")] * (p - 1))
+    return p, FormalSum.from_dict(
+        p - 1, draw(st.dictionaries(symbols, st.integers(-5, 5), max_size=20))
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(formal_sums())
+def test_substitute_ab_matches_flip_enumeration(case):
+    p, s = case
+    assert substitute_ab(s, p) == flip_enumeration(s, p)
+
+
+def test_formal_sum_rejects_bad_symbols():
+    for bad in ({("a", "c"): 1}, {("a",): 1}, {("a", "b"): 1, ("a", "b", "a"): 2}):
+        with pytest.raises(IdentityError, match="bad symbol"):
+            FormalSum.from_dict(2, bad)
+
+
 def test_formal_sum_arithmetic():
     x = e_r(3, 1)
     assert x + x == x.scale(2)
@@ -99,3 +140,9 @@ def test_all_collection_lemmas_pass(check_lemma):
 def test_unknown_lemma_id():
     with pytest.raises(IdentityError):
         verify_collection_lemma("L9.99")
+
+
+@pytest.mark.parametrize("lemma_id", ["L4.1i", "L4.1ii", "L4.1iii"])
+def test_collection_lemma_at_large_n(lemma_id):
+    report = verify_collection_lemma(lemma_id, n_max=60)
+    assert report.passed, report.counterexample
