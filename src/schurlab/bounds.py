@@ -92,7 +92,6 @@ def thm73_bound(d: int, exponent_odd: bool) -> tuple[int, int]:
 class BoundsRow:
     c: int
     p: Optional[int] = None
-    n: int = 1
     d: Optional[int] = None
     exponent_odd: bool = True
 
@@ -130,13 +129,12 @@ class BoundsRow:
 def bounds(
     c: int,
     p: Optional[int] = None,
-    n: int = 1,
     d: Optional[int] = None,
     exponent_odd: bool = True,
 ) -> BoundsRow:
     if c <= 1:
         raise BoundsError("class must exceed 1")
-    return BoundsRow(c=c, p=p, n=n, d=d, exponent_odd=exponent_odd)
+    return BoundsRow(c=c, p=p, d=d, exponent_odd=exponent_odd)
 
 
 TABLE_I_CLASSES = (3, 4, 5, 6, 17, 53, 161)

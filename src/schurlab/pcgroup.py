@@ -746,7 +746,8 @@ class PcGroup:
     def is_regular(self) -> Optional[bool]:
         """Exact for |G| <= 81 (exhaustive pairs) and for the standard criteria
         (abelian; class < p; nonabelian 2-group); otherwise a sampled pass
-        returns None ("unknown")."""
+        returns False when a sampled pair fails and None ("unknown") when
+        every sampled pair passes."""
         p = self.pres.prime
         if p is None:
             return None

@@ -58,11 +58,7 @@ class GroupProfile:
     suites: tuple[SuiteReport, ...] = field(default_factory=tuple)
 
 
-def profile(
-    pres: PcPresentation,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-    with_suites: bool = True,
-) -> GroupProfile:
+def profile(pres: PcPresentation, oracle_cap: int = DEFAULT_ORACLE_CAP) -> GroupProfile:
     group = group_of(pres)
     flags = group.classify()
     p = pres.prime
@@ -99,8 +95,6 @@ def profile(
             r8_gamma = gamma_m.exponent()
             r8_quot = group.exponent(modulo=gamma_m)
 
-    suites = tuple(run_suites(group, flags)) if with_suites else ()
-
     return GroupProfile(
         name=pres.name,
         order=group.order,
@@ -115,7 +109,7 @@ def profile(
         r8_m=r8_m,
         r8_gamma_exponent=r8_gamma,
         r8_quotient_exponent=r8_quot,
-        suites=suites,
+        suites=tuple(run_suites(group, flags)),
     )
 
 
@@ -351,7 +345,8 @@ def run(config: RunConfig) -> RunResult:
     entries = gather_entries(config)
     tasks = [(e.presentation, config.oracle_cap, config.rules) for e in entries]
     if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        # A pool starts all its workers at once: never more than there are groups.
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(tasks))) as pool:
             records = list(pool.map(_worker, tasks))
     else:
         records = [_worker(t) for t in tasks]

@@ -1,7 +1,7 @@
 import dataclasses
 
 from schurlab.pcgroup import make_presentation, group_of
-from schurlab.suites import SUITE_IDS, run_suites
+from schurlab.suites import SUITE_IDS, SuiteReport, _centralizing, run_suites
 
 
 def _by_id(reports):
@@ -49,11 +49,40 @@ def test_l36_covers_all_small_3_groups(bundled, groups):
         assert reports["L3.6"].passed, name
 
 
+def test_centralizing_sweep_matches_two_generator_subgroups(groups):
+    # L3.6 quantifies over h in <a,b> whenever [b, a^(3^n)] = 1; the shared
+    # sweep must yield exactly those (a, h, n), each once.
+    for name in ("heisenberg_3", "modular_27", "heisenberg_3_x_c3", "modular_81", "wreath_c3_c3"):
+        group = groups(name)
+        elems, one = group.elements(), group.identity
+        ns = [n for n in range(1, 5) if 3**n <= group.exponent()]  # exponent <= 81
+        closures = {}
+        reference = set()
+        for a in elems:
+            for n in ns:
+                aq = group.power(a, 3**n)
+                for b in elems:
+                    if group.commutator(b, aq) == one:
+                        pair = frozenset((a, b))
+                        if pair not in closures:
+                            closures[pair] = group.closure([a, b])
+                        reference.update((a, h, n) for h in closures[pair])
+        swept = [(a, b, n) for a, b, n, _ in _centralizing(group)]
+        assert len(set(swept)) == len(swept) and set(swept) == reference, name
+        assert _by_id(run_suites(group))["L3.6"].passed, name
+
+
 def test_suite_detects_violations(bundled):
     # Forging the regular flag on D_8 must make L2.15 fail: two reflections
     # have order 2 but their product has order 4, violating part (iii).
     group = group_of(bundled["dihedral_8"].presentation)
     forged = dataclasses.replace(group.classify(), is_regular=True)  # D_8 is not regular
-    report = _by_id(run_suites(group, forged))["L2.15"]
+    reports = _by_id(run_suites(group, forged))
+    report = reports["L2.15"]
     assert report.applicable and not report.passed
     assert report.counterexample is not None
+    # L3.1 fails first at the first non-central a: a and b are reflections,
+    # so [b, a^2] = 1 trivially, but ab has order 4 and (ab)^2 != a^2 b^2.
+    assert reports["L3.1"] == SuiteReport(
+        "L3.1", True, False, "power-abelian conclusion failed", "a=(0, 1, 0), b=(1, 0, 0), n=1"
+    )

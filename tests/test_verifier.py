@@ -164,6 +164,30 @@ def test_parallel_serial_equivalence(catalog_run):
     assert serial.render("json") == parallel.render("json")
 
 
+def test_pool_has_no_more_workers_than_groups(monkeypatch):
+    from schurlab import verifier
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", SerialPool)
+    config = RunConfig(jobs=10_000, max_order=4)
+    result = verifier.run(config)
+    assert started == [len(gather_entries(config))] == [len(result.records)]
+
+
 def test_render_formats(catalog_run):
     result = catalog_run(1)
     csv = result.render("csv")
@@ -225,7 +249,7 @@ def test_cover_over_enumeration_cap_keeps_multiplier(bundled, monkeypatch):
         raise EnumerationCapExceeded(f"{pres.name}.cover: closure exceeds cap")
 
     monkeypatch.setattr(verifier, "schur_cover", capped_cover)
-    prof = profile(bundled["heisenberg_3"].presentation, oracle_cap=0, with_suites=False)
+    prof = profile(bundled["heisenberg_3"].presentation, oracle_cap=0)
     assert prof.multiplier.torsion == (3, 3)
     assert prof.exterior_exponent is None
     assert prof.exterior_skip_reason.startswith("cover enumeration cap")
