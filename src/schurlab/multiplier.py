@@ -2,9 +2,10 @@
 exterior-square exponent.
 
 The workhorse is the tails construction: adjoin one central integer tail per
-relation of a consistent pc presentation, re-run every consistency test, and
-read off M(G) as the torsion of Z^r modulo the tail relations (Hopf's formula;
-the free rank must come out equal to the number of generators).  The oracle is
+relation of a consistent pc presentation, read the relations among the tails
+from the presentation's one tailed run of the consistency tests, and read off
+M(G) as the torsion of Z^r modulo the tail relations (Hopf's formula; the free
+rank must come out equal to the number of generators).  The oracle is
 the normalized inhomogeneous bar complex, which knows nothing about collection.
 
 One pipeline per group: ``schur_cover`` takes one Smith normal form (with
@@ -21,17 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .intlinalg import LatticeBasis, SNFResult, snf
-from .pcgroup import (
-    Collector,
-    InconsistentPresentation,
-    PcError,
-    PcGroup,
-    PcPresentation,
-    Word,
-    group_of,
-    make_presentation,
-    overlap_tests,
-)
+from .pcgroup import PcError, PcGroup, PcPresentation, Word, group_of, make_presentation
 
 DEFAULT_ORACLE_CAP = 32
 ORACLE_HARD_CAP = 81
@@ -223,20 +214,14 @@ def tails_matrix(
 ) -> tuple[list[dict[int, int]], int]:
     """The sparse rows of the tails matrix and its column (tail) count.
 
-    One row per consistency test, zero rows included: the difference of the
-    two sides' tail vectors.  ``tail_perm`` reorders the tail columns (column
-    j reads old tail tail_perm[j]); the multiplier must not depend on it."""
-    collector = Collector(pres, tails=True)
-    r = collector.ntails
+    One row per overlap test, zero rows included, read from the
+    presentation's one tailed overlap run: the difference of the two sides'
+    tail vectors.  ``tail_perm`` reorders the tail columns (column j reads old
+    tail tail_perm[j]); the multiplier must not depend on it."""
+    pres.require_consistent()
+    r = pres.collector.ntails
     new_col = _tail_columns(r, tail_perm)
-    rows = []
-    for family, indices, (le, lt), (re_, rt) in overlap_tests(collector):
-        if le != re_:
-            raise InconsistentPresentation(
-                f"{pres.name}: {family}{indices}: {le} != {re_}"
-            )
-        rows.append({new_col[k]: lt[k] - rt[k] for k in range(r) if lt[k] != rt[k]})
-    return rows, r
+    return [{new_col[k]: v for k, v in row.items()} for *_, row in pres.overlaps], r
 
 
 def _hopf_multiplier(pres: PcPresentation, ntails: int, result: SNFResult) -> AbelianInvariants:
@@ -339,14 +324,13 @@ def schur_cover(
                     out.append((start + l, digit))
         return tuple(sorted(out))
 
-    collector = Collector(pres, tails=True)
     power_words: dict[int, Word] = {}
     for i in range(n):
         w = tuple(pres.power_words[i]) + tail_word(i)
         if w:
             power_words[i] = w
     comm_words: dict[tuple[int, int], Word] = {}
-    for pair_pos, (j, i) in enumerate(collector.pairs):
+    for pair_pos, (j, i) in enumerate(pres.collector.pairs):
         base = pres.comm_dict.get((j, i), ())
         w = tuple(base) + tail_word(n + pair_pos)
         if w:
@@ -386,13 +370,9 @@ def schur_cover(
     return CoverResult(cover_pres, kernel_gens, multiplier, cover_group)
 
 
-def exterior_exponent(
-    pres: PcPresentation, cover_result: Optional[CoverResult] = None
-) -> int:
-    """exp(G ∧ G) = exp(γ₂(H)) for a Schur cover H; exp(M) and exp(γ₂(G))
-    must divide it."""
-    if cover_result is None:
-        cover_result = schur_cover(pres)
+def exterior_exponent(pres: PcPresentation, cover_result: CoverResult) -> int:
+    """exp(G ∧ G) = exp(γ₂(H)) for the Schur cover H of ``cover_result``;
+    exp(M) and exp(γ₂(G)) must divide it."""
     value = cover_result.group.gamma2.exponent()
     if value % cover_result.multiplier.exponent:
         raise MultiplierError(

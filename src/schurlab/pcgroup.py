@@ -7,15 +7,17 @@ orders o_i, and relations
     g_j g_i = g_i g_j w_ji     (j > i; w_ji over indices > j; absent = trivial)
 
 Elements are normal words: exponent tuples (e_1..e_n) with 0 <= e_i < o_i.
-Arithmetic is collection-from-the-left.  The collector optionally tracks one
-central integer "tail" per relation; that powers the Schur-multiplier
+Arithmetic is collection-from-the-left.  The collector counts one central
+integer "tail" per relation when asked to; that powers the Schur-multiplier
 computation in the multiplier module.
 
 A ``PcPresentation`` is valid by construction: it checks its own orders,
 declared prime and relation words once, when it is made, and a failure names
 the field or relation at fault.  The catalog parser checks line syntax only.
-A presentation runs its overlap tests once, the first time catalog load,
-``PcGroup`` or ``group_of`` asks whether it is consistent.
+Each presentation owns one ``Collector`` and runs its overlap tests once,
+with tails, the first time catalog load, ``PcGroup``, ``group_of`` or the
+tails matrix asks for them: the same run decides consistency and gives the
+relations among the tails.
 """
 from __future__ import annotations
 
@@ -92,9 +94,27 @@ class PcPresentation:
         return dict(self.comm_words)
 
     @cached_property
+    def collector(self) -> "Collector":
+        """The one collector of this presentation."""
+        return Collector(self)
+
+    @cached_property
+    def overlaps(self) -> tuple[tuple, ...]:
+        """(family, indices, lhs, rhs, tail row) of every overlap test,
+        collected with tails once per object (see ``overlap_tests``)."""
+        return tuple(overlap_tests(self.collector))
+
+    @cached_property
     def violations(self) -> tuple["Violation", ...]:
-        """Failed overlap tests (empty when consistent), run once per object."""
+        """Failed overlap tests (empty when consistent)."""
         return tuple(check_consistency(self))
+
+    def require_consistent(self) -> None:
+        """Raise ``InconsistentPresentation`` naming the first failed tests."""
+        if self.violations:
+            raise InconsistentPresentation(
+                f"{self.name}: " + "; ".join(str(v) for v in self.violations[:5])
+            )
 
     def __post_init__(self) -> None:
         """Reject a malformed presentation, so every object is valid."""
@@ -180,43 +200,37 @@ def word_of(exps: Sequence[int]) -> Word:
 
 
 class Collector:
-    """Collection-from-the-left, optionally tracking one central tail per relation.
+    """Collection-from-the-left, counting one central tail per relation when
+    the caller passes a tail vector.
 
     Tail bookkeeping: relation i (power) has tail index i; relation (j, i)
     (commutator, j > i) has index ``n + pair_index[(j, i)]``.  Each rewrite by a
     relation adds +1 (or -1 when inverting) to that relation's tail coordinate.
+    A presentation's overlap tests are collected once, with tails, and serve
+    both its consistency check and its tails matrix; products collect none.
     """
 
-    def __init__(self, pres: PcPresentation, tails: bool = False):
+    def __init__(self, pres: PcPresentation):
         self.pres = pres
         self.n = pres.ngens
         self.orders = pres.relative_orders
         self.power_words = pres.power_words
         self.comm_words = pres.comm_dict
         self.pairs = [(j, i) for j in range(self.n) for i in range(j)]
-        if tails:
-            self.ntails = self.n + len(self.pairs)
-            self.comm_tail_index = {
-                pair: self.n + k for k, pair in enumerate(self.pairs)
-            }
-        else:
-            self.ntails = 0
-            self.comm_tail_index = {}
+        self.ntails = self.n + len(self.pairs)
+        self.comm_tail_index = {pair: self.n + k for k, pair in enumerate(self.pairs)}
 
     def collect(
         self, letters: Iterable[tuple[int, int]], tails: Optional[list[int]] = None
-    ) -> tuple[NormalWord, tuple[int, ...]]:
+    ) -> NormalWord:
         """Normal form of the given letter sequence.
 
-        ``tails`` (mutable, length ntails) accumulates relation applications;
-        a fresh zero vector is used when omitted.
+        ``tails`` (mutable, length ntails), when given, accumulates relation
+        applications.
         """
-        if tails is None:
-            tails = [0] * self.ntails
         buf: list[list[int]] = []
         self._push(letters, tails, buf)
-        exps = self._reduce(buf, tails)
-        return exps, tuple(tails)
+        return self._reduce(buf, tails)
 
     def _push(self, letters, tails, out) -> None:
         for g, e in letters:
@@ -234,14 +248,14 @@ class Collector:
         for h, e in reversed(self.power_words[g]):
             for _ in range(e):
                 self._push_inverse(h, tails, out)
-        if self.ntails:
+        if tails is not None:
             tails[g] -= 1
 
     def _reduce(self, buf: list[list[int]], tails) -> NormalWord:
         orders = self.orders
         power_words = self.power_words
         comm_words = self.comm_words
-        ntails = self.ntails
+        counting = tails is not None
         i = 0
         while i < len(buf):
             g, e = buf[i]
@@ -255,7 +269,7 @@ class Collector:
                     repl.append([g, e - orders[g]])
                 repl.extend([h, ee] for h, ee in power_words[g])
                 buf[i : i + 1] = repl
-                if ntails:
+                if counting:
                     tails[g] += 1
                 i = max(i - 1, 0)
                 continue
@@ -272,7 +286,7 @@ class Collector:
                     if e2 - 1:
                         repl.append([g2, e2 - 1])
                     buf[i : i + 2] = repl
-                    if ntails:
+                    if counting:
                         tails[self.comm_tail_index[(g, g2)]] += 1
                     i = max(i - 1, 0)
                     continue
@@ -296,12 +310,12 @@ class Violation:
 
 
 def overlap_tests(collector: Collector):
-    """Yield (family, indices, (lhs_exps, lhs_tails), (rhs_exps, rhs_tails)).
+    """Yield (family, indices, lhs, rhs, row) for every overlap test.
 
-    The four overlap families; each side collected deterministically.  Tail
-    vectors accumulate across the staged collections, so with a tailed
-    collector the difference of the two sides is the relation imposed on the
-    tails by consistency.
+    The four overlap families; each side collected deterministically into its
+    normal word, with one tail vector accumulated across its staged
+    collections.  ``row`` is the sparse difference {tail: lhs - rhs} of the
+    two tail vectors: the relation consistency imposes on the tails.
     """
     n = collector.n
     orders = collector.orders
@@ -310,9 +324,13 @@ def overlap_tests(collector: Collector):
         # collect ``first``, then its normal word between ``before`` and
         # ``after``, accumulating one tail vector over both collections
         t = [0] * collector.ntails
-        e1, _ = collector.collect(first, t)
-        e2, _ = collector.collect(before + word_of(e1) + after, t)
-        return e2, tuple(t)
+        e1 = collector.collect(first, t)
+        return collector.collect(before + word_of(e1) + after, t), t
+
+    def test(family: str, indices: tuple[int, ...], lhs, rhs):
+        (le, lt), (re_, rt) = lhs, rhs
+        row = {k: a - b for k, (a, b) in enumerate(zip(lt, rt)) if a != b}
+        return family, indices, le, re_, row
 
     for k in range(n):
         for j in range(k):
@@ -320,31 +338,31 @@ def overlap_tests(collector: Collector):
                 # (g_k g_j) g_i  vs  g_k (g_j g_i)
                 rhs = side(((k, 1), (j, 1)), after=((i, 1),))
                 lhs = side(((j, 1), (i, 1)), before=((k, 1),))
-                yield "triple", (k + 1, j + 1, i + 1), lhs, rhs
+                yield test("triple", (k + 1, j + 1, i + 1), lhs, rhs)
     for j in range(n):
         for i in range(j):
             # (g_j^{o_j}) g_i  vs  g_j^{o_j-1} (g_j g_i)
             lhs = side(((j, orders[j]),), after=((i, 1),))
             rhs = side(((j, 1), (i, 1)), before=((j, orders[j] - 1),))
-            yield "power_left", (j + 1, i + 1), lhs, rhs
+            yield test("power_left", (j + 1, i + 1), lhs, rhs)
             # g_j (g_i^{o_i})  vs  (g_j g_i) g_i^{o_i-1}
             lhs = side(((i, orders[i]),), before=((j, 1),))
             rhs = side(((j, 1), (i, 1)), after=((i, orders[i] - 1),))
-            yield "power_right", (j + 1, i + 1), lhs, rhs
+            yield test("power_right", (j + 1, i + 1), lhs, rhs)
     for i in range(n):
         # g_i (g_i^{o_i})  vs  (g_i^{o_i}) g_i
         lhs = side(((i, orders[i]),), before=((i, 1),))
         rhs = side(((i, orders[i]),), after=((i, 1),))
-        yield "power_self", (i + 1,), lhs, rhs
+        yield test("power_self", (i + 1,), lhs, rhs)
 
 
 def check_consistency(pres: PcPresentation) -> list[Violation]:
-    collector = Collector(pres, tails=False)
-    out = []
-    for family, indices, (le, _), (re_, _) in overlap_tests(collector):
-        if le != re_:
-            out.append(Violation(family, indices, le, re_))
-    return out
+    """The failed overlap tests of ``pres``, read from its one overlap run."""
+    return [
+        Violation(family, indices, lhs, rhs)
+        for family, indices, lhs, rhs, _ in pres.overlaps
+        if lhs != rhs
+    ]
 
 
 @dataclass(frozen=True)
@@ -408,12 +426,9 @@ class PcGroup:
     MEMO_ORDER_LIMIT = 4096
 
     def __init__(self, pres: PcPresentation):
-        if pres.violations:
-            raise InconsistentPresentation(
-                f"{pres.name}: " + "; ".join(str(v) for v in pres.violations[:5])
-            )
+        pres.require_consistent()
         self.pres = pres
-        self.collector = Collector(pres, tails=False)
+        self.collector = pres.collector
         self.identity: NormalWord = (0,) * pres.ngens
         self._mcache: Optional[dict] = {} if pres.order <= self.MEMO_ORDER_LIMIT else None
         self._tabled = pres.order <= DEFAULT_CAP
@@ -446,7 +461,7 @@ class PcGroup:
         return [self.generator(i) for i in range(self.ngens)]
 
     def normalize(self, letters: Iterable[tuple[int, int]]) -> NormalWord:
-        return self.collector.collect(letters)[0]
+        return self.collector.collect(letters)
 
     def multiply(self, u: NormalWord, v: NormalWord) -> NormalWord:
         cache = self._mcache
@@ -461,7 +476,7 @@ class PcGroup:
 
     def _product(self, u: NormalWord, v: NormalWord) -> NormalWord:
         if not self._tabled:
-            return self.collector.collect(word_of(u) + word_of(v))[0]
+            return self.collector.collect(word_of(u) + word_of(v))
         if v not in self._index:
             v = self.normalize(word_of(v))
         x = self.position(u)

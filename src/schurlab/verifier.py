@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import ceil_log_ratio, thm61_bound, thm65_bound, thm73_bound
@@ -55,7 +55,7 @@ class GroupProfile:
     r8_m: Optional[int]
     r8_gamma_exponent: Optional[int]
     r8_quotient_exponent: Optional[int]
-    suites: tuple[SuiteReport, ...] = field(default_factory=tuple)
+    suites: tuple[SuiteReport, ...]
 
 
 def profile(pres: PcPresentation, oracle_cap: int = DEFAULT_ORACLE_CAP) -> GroupProfile:
@@ -115,8 +115,6 @@ def profile(pres: PcPresentation, oracle_cap: int = DEFAULT_ORACLE_CAP) -> Group
 
 def _suite_verdict(suites: tuple[SuiteReport, ...]) -> RuleResult:
     """R14: every suite whose hypothesis the group satisfies must pass."""
-    if not suites:
-        return RuleResult("skipped(suites not run)")
     applicable = [s for s in suites if s.applicable]
     if not applicable:
         return RuleResult("not_applicable", "no suite hypothesis satisfied")

@@ -222,6 +222,6 @@ def test_criterion_10_structural_suites(bundled):
 
 def test_criterion_11_determinism(catalog_run):
     serial = catalog_run(1).render("json")
-    parallel = catalog_run(8).render("json")
+    parallel = catalog_run(2).render("json")
     assert serial == parallel
     json.loads(serial)  # well-formed

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -19,8 +20,17 @@ from schurlab.multiplier import (
     multiplication_table,
     schur_cover,
     schur_multiplier,
+    tails_matrix,
 )
-from schurlab.pcgroup import PcGroup, group_of, make_presentation
+from schurlab.pcgroup import (
+    Collector,
+    InconsistentPresentation,
+    PcGroup,
+    check_consistency,
+    group_of,
+    make_presentation,
+    word_of,
+)
 
 
 KNOWN_MULTIPLIERS = {
@@ -161,7 +171,67 @@ def test_tail_permutation_invariance(bundled):
     assert schur_multiplier(pres, method="tails", tail_perm=perm) == base
     cover = schur_cover(pres, tail_perm=perm)
     assert cover.multiplier == base
-    assert exterior_exponent(pres, cover) == exterior_exponent(pres)
+    assert exterior_exponent(pres, cover) == exterior_exponent(pres, schur_cover(pres))
+
+
+def _reference_tails_rows(pres, tail_perm):
+    """The tails matrix rebuilt apart from the presentation's cached overlap
+    run: each overlap test collected once without tails (the sides must
+    agree) and once with tails by a fresh collector, row = lhs - rhs."""
+    collector = Collector(pres)
+    orders, n, r = pres.relative_orders, pres.ngens, collector.ntails
+    perm = tail_perm or range(r)
+    sides = []  # ((first, before, after) of lhs, same of rhs), in test order
+    for k in range(n):
+        for j in range(k):
+            for i in range(j):
+                sides.append(((((j, 1), (i, 1)), ((k, 1),), ()),
+                              (((k, 1), (j, 1)), (), ((i, 1),))))
+    for j in range(n):
+        for i in range(j):
+            sides.append(((((j, orders[j]),), (), ((i, 1),)),
+                          (((j, 1), (i, 1)), ((j, orders[j] - 1),), ())))
+            sides.append(((((i, orders[i]),), ((j, 1),), ()),
+                          (((j, 1), (i, 1)), (), ((i, orders[i] - 1),))))
+    for i in range(n):
+        sides.append(((((i, orders[i]),), ((i, 1),), ()),
+                      (((i, orders[i]),), (), ((i, 1),))))
+
+    def collect(first, before, after, tails=None):
+        e1 = collector.collect(first, tails)
+        return collector.collect(before + word_of(e1) + after, tails)
+
+    rows = []
+    for lhs, rhs in sides:
+        assert collect(*lhs) == collect(*rhs), pres.name
+        lt, rt = [0] * r, [0] * r
+        assert collect(*lhs, lt) == collect(*rhs, rt) == collect(*lhs), pres.name
+        rows.append({j: lt[old] - rt[old] for j, old in enumerate(perm) if lt[old] != rt[old]})
+    return rows, r
+
+
+def test_tails_matrix_matches_separate_collections(bundled):
+    for entry in bundled.values():
+        if entry.order > 81:
+            continue
+        pres = entry.presentation
+        r = pres.ngens * (pres.ngens + 1) // 2
+        for perm in (None, list(reversed(range(r)))):
+            rows, ncols = tails_matrix(pres, perm)
+            ref_rows, ref_ncols = _reference_tails_rows(pres, perm)
+            assert ncols == ref_ncols == r, entry.name
+            assert rows == ref_rows, (entry.name, perm is not None)
+
+
+def test_tails_method_rejects_inconsistent_presentation():
+    bad = make_presentation("bad", [2, 2, 3], comm_words={(1, 0): ((2, 1),)}, prime=None)
+    first = re.escape(str(check_consistency(bad)[0]))
+    with pytest.raises(InconsistentPresentation, match=first):
+        tails_matrix(bad)
+    with pytest.raises(InconsistentPresentation, match=first):
+        schur_multiplier(bad, method="tails")
+    with pytest.raises(InconsistentPresentation, match=first):
+        schur_cover(bad)
 
 
 def test_cover_laws(bundled):
@@ -181,14 +251,18 @@ def test_cover_laws(bundled):
 
 
 def test_cover_examples(bundled):
+    def ext(name):
+        pres = bundled[name].presentation
+        return exterior_exponent(pres, schur_cover(pres))
+
     heis = schur_cover(bundled["heisenberg_3"].presentation)
     assert heis.cover.order == 243
-    assert exterior_exponent(bundled["heisenberg_3"].presentation) == 3
+    assert ext("heisenberg_3") == 3
     v4 = schur_cover(bundled["abelian_2_2"].presentation)
     assert v4.cover.order == 8
-    assert exterior_exponent(bundled["abelian_2_2"].presentation) == 2
-    assert exterior_exponent(bundled["cyclic_9"].presentation) == 1
-    assert exterior_exponent(bundled["dihedral_8"].presentation) == 4
+    assert ext("abelian_2_2") == 2
+    assert ext("cyclic_9") == 1
+    assert ext("dihedral_8") == 4
 
 
 def test_method_both_agrees_on_small_groups(bundled):

@@ -104,8 +104,6 @@ def test_r14_reports_suites(heis_profile):
     failing = SuiteReport("L3.1", True, False, "power-abelian conclusion failed", "a=x, b=y, n=1")
     forged = dataclasses.replace(heis_profile, suites=heis_profile.suites + (failing,))
     assert evaluate_rules(forged)["R14"] == RuleResult("violated", "L3.1: a=x, b=y, n=1")
-    not_run = dataclasses.replace(heis_profile, suites=())
-    assert evaluate_rules(not_run)["R14"] == RuleResult("skipped(suites not run)")
 
 
 def test_wreath_triggers_deep_rules(bundled):
@@ -160,7 +158,7 @@ def test_non_vacuity(catalog_run):
 
 def test_parallel_serial_equivalence(catalog_run):
     serial = catalog_run(1)
-    parallel = catalog_run(8)
+    parallel = catalog_run(2)
     assert serial.render("json") == parallel.render("json")
 
 
@@ -200,10 +198,12 @@ def test_profile_does_each_piece_of_work_once(bundled, tmp_path, monkeypatch):
     from schurlab import catalog, multiplier, pcgroup
 
     counts = {"tails_matrix": 0, "PcGroup": 0}
-    checked = []
+    checked, collectors, overlap_runs = [], [], []  # presentations, in call order
     tails_matrix = multiplier.tails_matrix
     pcgroup_init = pcgroup.PcGroup.__init__
     check_consistency = pcgroup.check_consistency
+    collector_init = pcgroup.Collector.__init__
+    overlap_tests = pcgroup.overlap_tests
 
     def counted_tails_matrix(*args, **kwargs):
         counts["tails_matrix"] += 1
@@ -217,9 +217,19 @@ def test_profile_does_each_piece_of_work_once(bundled, tmp_path, monkeypatch):
         checked.append(pres)
         return check_consistency(pres)
 
+    def recorded_collector(self, pres):
+        collectors.append(pres)
+        collector_init(self, pres)
+
+    def recorded_overlaps(collector):
+        overlap_runs.append(collector.pres)
+        return overlap_tests(collector)
+
     monkeypatch.setattr(multiplier, "tails_matrix", counted_tails_matrix)
     monkeypatch.setattr(pcgroup.PcGroup, "__init__", counted_init)
     monkeypatch.setattr(pcgroup, "check_consistency", recorded_check)
+    monkeypatch.setattr(pcgroup.Collector, "__init__", recorded_collector)
+    monkeypatch.setattr(pcgroup, "overlap_tests", recorded_overlaps)
 
     # fresh names keep the groups out of group_of's cache; heisenberg_3 runs
     # the bar oracle, cyclic_125 is above its cap
@@ -239,6 +249,9 @@ def test_profile_does_each_piece_of_work_once(bundled, tmp_path, monkeypatch):
     assert prof.multiplier_crosscheck.startswith("skipped")
     assert len(checked) == 2 * len(names)
     assert len(set(checked)) == len(checked)  # no presentation checked twice
+    # one collector and one tailed overlap run per presentation object, shared
+    # by the consistency check, PcGroup and the tails matrix
+    assert list(map(id, collectors)) == list(map(id, overlap_runs)) == list(map(id, checked))
 
 
 def test_cover_over_enumeration_cap_keeps_multiplier(bundled, monkeypatch):
