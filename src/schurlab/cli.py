@@ -33,6 +33,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     if args.jobs < 1:
         raise UsageError(f"--jobs {args.jobs}: must be at least 1")
+    if args.max_order is not None and args.max_order < 1:
+        raise UsageError(f"--max-order {args.max_order} selects no group")
     if args.rules == "all":
         rules = None
     else:

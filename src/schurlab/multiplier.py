@@ -66,13 +66,13 @@ class AbelianInvariants:
 # -- bar-complex oracle -------------------------------------------------------
 
 
-def multiplication_table(group: PcGroup) -> list[list[int]]:
-    """Square index table over the lexicographic element list: entry [g][h] = gh."""
-    elems = group.elements()
-    return [[group.position(group.multiply(u, v)) for v in elems] for u in elems]
+def multiplication_table(group: PcGroup) -> Sequence[Sequence[int]]:
+    """Square index table over the lexicographic element list: entry [g][h] = gh
+    (the group's Cayley table ``rows``)."""
+    return group.rows
 
 
-def _find_identity(table: list[list[int]]) -> int:
+def _find_identity(table: Sequence[Sequence[int]]) -> int:
     m = len(table)
     for e in range(m):
         if all(table[e][x] == x for x in range(m)) and all(
@@ -82,7 +82,7 @@ def _find_identity(table: list[list[int]]) -> int:
     raise MultiplierError("table has no identity element")
 
 
-def _span(table: list[list[int]], e: int, gens: Sequence[int]) -> set[int]:
+def _span(table: Sequence[Sequence[int]], e: int, gens: Sequence[int]) -> set[int]:
     """The subgroup generated by ``gens``: closure of {e} under right
     multiplication by them (in a finite group the monoid is the group)."""
     span, frontier = {e}, [e]
@@ -96,7 +96,7 @@ def _span(table: list[list[int]], e: int, gens: Sequence[int]) -> set[int]:
     return span
 
 
-def _generating_set(table: list[list[int]], e: int) -> list[int]:
+def _generating_set(table: Sequence[Sequence[int]], e: int) -> list[int]:
     """An irredundant generating set read off the table alone: a greedy
     closure, then drop every element the others already generate.  For a
     p-group it has d(G) elements (Burnside basis theorem)."""
@@ -115,7 +115,7 @@ def _generating_set(table: list[list[int]], e: int) -> list[int]:
 
 
 def bar_homology(
-    table: list[list[int]], degree: int, cap: int = DEFAULT_ORACLE_CAP
+    table: Sequence[Sequence[int]], degree: int, cap: int = DEFAULT_ORACLE_CAP
 ) -> AbelianInvariants:
     """Integral homology H_degree(G, Z) from the normalized bar complex.
 

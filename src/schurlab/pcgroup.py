@@ -421,6 +421,16 @@ class PcGroup:
     an element is computed once.  The lower central and derived series, the
     center, γ₂, exponents and the k-th power sets and subgroups are computed
     once and kept; γ₂ is enumerated without enumerating the group.
+
+    Two index maps serve callers that sweep the whole group.  ``rows`` is the
+    Cayley table, derived from the columns: y is y' = y − stride[m] times its
+    last letter g_m, so row x reads entry y off column m at entry y'.  It
+    takes |G|² entries, so only the capped pair sweeps of the law suites and
+    the bar oracle ask for it.  In a tabled p-group, ``pth(x)`` is the
+    index of x^p, filled on demand by walking x's letters p − 1 times down
+    the columns; element orders and exponents walk this map, so x has order
+    p^k when k steps reach the identity.  A presentation whose relative
+    orders mix primes finds orders by powering.
     """
 
     MEMO_ORDER_LIMIT = 4096
@@ -436,11 +446,18 @@ class PcGroup:
         self._right: list[Optional[list[int]]] = [None] * pres.ngens
         self._pcache: dict[tuple[NormalWord, int], NormalWord] = {}
         self._ocache: dict[NormalWord, int] = {}
+        self._pth: Optional[list[int]] = None
         self._icache: dict[NormalWord, NormalWord] = {}
         self._exponents: dict[Optional[frozenset[NormalWord]], int] = {}
         self._power_sets: dict[int, frozenset[NormalWord]] = {}
         self._power_subgroups: dict[int, Subgroup] = {}
         self._order_prime_factors = sorted(set(pres.relative_orders))
+        # the prime of a tabled p-group, whose orders walk the p-th-power map
+        self._walk_prime = (
+            self._order_prime_factors[0]
+            if self._tabled and len(self._order_prime_factors) == 1
+            else None
+        )
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -553,6 +570,9 @@ class PcGroup:
         return acc
 
     def element_order(self, u: NormalWord) -> int:
+        p = self._walk_prime
+        if p is not None:
+            return p ** self.pth_steps(self.position(u))
         o = self._ocache.get(u)
         if o is None:
             o = self.order
@@ -561,6 +581,40 @@ class PcGroup:
                     o //= p
             self._ocache[u] = o
         return o
+
+    def pth(self, x: int) -> int:
+        """Index of (element x)^p in a tabled p-group: x's letters walked
+        p − 1 times down the columns, once per x."""
+        table = self._pth
+        if table is None:
+            if self._walk_prime is None:
+                raise PcError(f"{self.pres.name}: no p-th-power map for this presentation")
+            table = self._pth = [-1] * self.order
+        y = table[x]
+        if y < 0:
+            letters = [(g, e) for g, e in enumerate(self._words[x]) if e]
+            y = x
+            for _ in range(self._walk_prime - 1):
+                for g, e in letters:
+                    y = self._step(y, g, e)
+            table[x] = y
+        return y
+
+    def pth_steps(self, x: int, members: Optional[frozenset[NormalWord]] = None) -> int:
+        """Steps of the p-th-power map from index x until it reaches
+        ``members`` (the identity when None): x^(p^k) is the first power of
+        x there."""
+        k = 0
+        if members is None:
+            while x:
+                x = self.pth(x)
+                k += 1
+        else:
+            words = self._words
+            while words[x] not in members:
+                x = self.pth(x)
+                k += 1
+        return k
 
     # -- enumeration and subgroups -------------------------------------------
 
@@ -586,6 +640,28 @@ class PcGroup:
     @cached_property
     def _index(self) -> dict[NormalWord, int]:
         return {w: i for i, w in enumerate(self.elements())}
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The Cayley table over ``elements()``: rows[x][y] is the index of
+        x·y.  Each entry is one column lookup (see the class docstring)."""
+        words = self.elements()
+        orders = self.pres.relative_orders
+        strides = [math.prod(orders[g + 1:]) for g in range(self.ngens)]
+        columns = [[self._step(x, g, 1) for x in range(self.order)] for g in range(self.ngens)]
+        # times[y] maps x to the index of x·y
+        times = [list(range(self.order))]
+        for y in range(1, self.order):
+            w = words[y]
+            m = max(g for g, e in enumerate(w) if e)
+            col = columns[m]
+            times.append([col[t] for t in times[y - strides[m]]])
+        return tuple(zip(*times))
+
+    @cached_property
+    def inverses(self) -> list[int]:
+        """inverses[x] is the index of the inverse of element x."""
+        return [row.index(0) for row in self.rows]
 
     def closure(self, gens: Iterable[NormalWord]) -> frozenset[NormalWord]:
         elems = {self.identity}
@@ -720,14 +796,18 @@ class PcGroup:
         e = self._exponents.get(key)
         if e is not None:
             return e
-        e = 1
-        for w in self.elements():
-            k = self.element_order(w)
-            if modulo is not None:
-                for p in self._order_prime_factors:
-                    while k % p == 0 and self.power(w, k // p) in modulo:
-                        k //= p
-            e = math.lcm(e, k)
+        p = self._walk_prime
+        if p is not None:
+            e = p ** max(self.pth_steps(x, key) for x in range(self.order))
+        else:
+            e = 1
+            for w in self.elements():
+                k = self.element_order(w)
+                if modulo is not None:
+                    for q in self._order_prime_factors:
+                        while k % q == 0 and self.power(w, k // q) in modulo:
+                            k //= q
+                e = math.lcm(e, k)
         self._exponents[key] = e
         return e
 

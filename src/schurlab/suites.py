@@ -6,15 +6,20 @@ a^(3^n), and the p-th-power set property) on groups whose flags satisfy the
 law's hypothesis.  Suites are exhaustive over the elements each law
 quantifies; L3.1 and L3.6 share one sweep over the pairs (a, b) with
 [b, a^(p^n)] = 1.  A failure carries an explicit counterexample.
+
+The pair sweeps run on element indices: products are reads of the group's
+Cayley table ``rows``, inverses of ``inverses``, and a^(p^n) of lists built
+by n steps of the p-th-power map ``pth``, so a commutator is four list reads
+and [b, x] = 1 is the two-read test b·x = x·b.  Elements are named as words
+only in counterexamples.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .pcgroup import GroupFlags, NormalWord, PcGroup
+from .pcgroup import GroupFlags, PcGroup
 
 # Exhaustive pair sweeps stay affordable up to this order.
 SUITE_ORDER_CAP = 81
@@ -47,34 +52,54 @@ def _pn_range(group: PcGroup) -> list[int]:
     return ns
 
 
-def _centralizing(group: PcGroup) -> Iterator[tuple[NormalWord, NormalWord, int, NormalWord]]:
-    """(a, b, n, a^q), q = p^n, for each a, each n in _pn_range and each b
-    with [b, a^q] = 1, in that order."""
-    p = group.pres.prime
-    one = group.identity
-    elems = group.elements()
-    ns = _pn_range(group)
-    for a in elems:
-        for n in ns:
-            aq = group.power(a, p**n)
-            for b in elems:
-                if group.commutator(b, aq) == one:
-                    yield a, b, n, aq
+def _power_lists(group: PcGroup) -> dict[int, list[int]]:
+    """n -> [index of x^(p^n) for every index x], n steps of ``pth``, for
+    each n in _pn_range in order."""
+    step = [group.pth(x) for x in range(group.order)]
+    lists = {}
+    current = range(group.order)
+    for n in _pn_range(group):
+        current = [step[x] for x in current]
+        lists[n] = current
+    return lists
+
+
+def _centralizing(group: PcGroup) -> Iterator[tuple[int, int, int, list[int]]]:
+    """(a, b, n, power) for each index a, each n in _pn_range and each index
+    b with [b, a^q] = 1, q = p^n, in that order; power[x] is the index of
+    x^q."""
+    rows = group.rows
+    pows = _power_lists(group)
+    for a in range(group.order):
+        for n, power in pows.items():
+            aq = power[a]
+            row_aq = rows[aq]
+            for b in range(group.order):
+                # [b, aq] = 1 iff b·aq = aq·b
+                if rows[b][aq] == row_aq[b]:
+                    yield a, b, n, power
+
+
+def _commutator(rows, inverses, u: int, v: int) -> int:
+    """Index of [u, v] = uv (vu)^{-1}."""
+    return rows[rows[u][v]][inverses[rows[v][u]]]
 
 
 def _equivalence_counterexample(
-    group: PcGroup, a: NormalWord, b: NormalWord, comm: NormalWord, a_q: NormalWord, n: int
+    group: PcGroup, power: list[int], a: int, b: int, comm: int, n: int
 ) -> Optional[str]:
-    """None when [b,a]^q = 1, [b,a^q] = 1, [b^q,a] = 1 (q = p^n, comm = [b,a],
-    a_q = a^q) hold or fail together, else the counterexample."""
-    q = group.pres.prime**n
-    one = group.identity
-    c1 = group.power(comm, q) == one
-    c2 = group.commutator(b, a_q) == one
-    c3 = group.commutator(group.power(b, q), a) == one
+    """None when [b,a]^q = 1, [b,a^q] = 1, [b^q,a] = 1 (q = p^n, power[x]
+    the index of x^q, comm = [b,a], all indices) hold or fail together, else
+    the counterexample."""
+    rows = group.rows
+    c1 = power[comm] == 0
+    aq, bq = power[a], power[b]
+    c2 = rows[b][aq] == rows[aq][b]
+    c3 = rows[bq][a] == rows[a][bq]
     if c1 == c2 == c3:
         return None
-    return f"a={a}, b={b}, n={n}: ({c1},{c2},{c3})"
+    elems = group.elements()
+    return f"a={elems[a]}, b={elems[b]}, n={n}: ({c1},{c2},{c3})"
 
 
 def check_regular_power_laws(group: PcGroup, flags: GroupFlags) -> Outcome:
@@ -84,41 +109,38 @@ def check_regular_power_laws(group: PcGroup, flags: GroupFlags) -> Outcome:
     (iii) order(ab) <= max(order(a), order(b));
     (iv)  a^{p^n} = b^{p^n} iff (a b^{-1})^{p^n} = 1.
     """
-    p = group.pres.prime
-    one = group.identity
+    rows, inv = group.rows, group.inverses
     elems = group.elements()
-    ns = _pn_range(group)
+    pows = _power_lists(group)
+    orders = [group.element_order(w) for w in elems]
     checked = 0
-    for a in elems:
-        ord_a = group.element_order(a)
-        a_pows = {n: group.power(a, p**n) for n in ns}
-        for b in elems:
-            comm = group.commutator(b, a)
-            for n in ns:
-                q = p**n
-                bad = _equivalence_counterexample(group, a, b, comm, a_pows[n], n)
+    for a, row_a in enumerate(rows):
+        for b in range(group.order):
+            comm = _commutator(rows, inv, b, a)
+            for n, power in pows.items():
+                bad = _equivalence_counterexample(group, power, a, b, comm, n)
                 if bad is not None:
                     return "part (i) equivalence failed", bad
-                if (a_pows[n] == group.power(b, q)) != (
-                    group.power(group.multiply(a, group.inverse(b)), q) == one
-                ):
-                    return "part (iv) equivalence failed", f"a={a}, b={b}, n={n}"
+                if (power[a] == power[b]) != (power[row_a[inv[b]]] == 0):
+                    return "part (iv) equivalence failed", f"a={elems[a]}, b={elems[b]}, n={n}"
                 checked += 3
-            prod_ord = group.element_order(group.multiply(a, b))
-            if prod_ord > max(ord_a, group.element_order(b)):
-                return "part (iii) order bound failed", f"a={a}, b={b}: order(ab)={prod_ord}"
+            prod_ord = orders[row_a[b]]
+            if prod_ord > max(orders[a], orders[b]):
+                return (
+                    "part (iii) order bound failed",
+                    f"a={elems[a]}, b={elems[b]}: order(ab)={prod_ord}",
+                )
             checked += 1
     return f"{checked} instances over {len(elems)}^2 pairs", None
 
 
 def check_central_power_abelian(group: PcGroup, flags: GroupFlags) -> Outcome:
     """On regular groups: [b, a^{p^n}] = 1 implies (ab)^{p^n} = a^{p^n} b^{p^n}."""
-    p = group.pres.prime
+    rows, elems = group.rows, group.elements()
     checked = 0
-    for a, b, n, aq in _centralizing(group):
-        q = p**n
-        if group.power(group.multiply(a, b), q) != group.multiply(aq, group.power(b, q)):
-            return "power-abelian conclusion failed", f"a={a}, b={b}, n={n}"
+    for a, b, n, power in _centralizing(group):
+        if power[rows[a][b]] != rows[power[a]][power[b]]:
+            return "power-abelian conclusion failed", f"a={elems[a]}, b={elems[b]}, n={n}"
         checked += 1
     return f"{checked} hypothesis instances", None
 
@@ -127,16 +149,14 @@ def check_class_p_commutator_equivalence(group: PcGroup, flags: GroupFlags) -> O
     """On groups of class exactly p: the three vanishing conditions
     [b,a]^{p^n} = 1, [b,a^{p^n}] = 1, [b^{p^n},a] = 1 are pairwise equivalent.
     """
-    p = group.pres.prime
-    elems = group.elements()
-    ns = _pn_range(group)
+    rows, inv = group.rows, group.inverses
+    pows = _power_lists(group)
     checked = 0
-    for a in elems:
-        a_pows = {n: group.power(a, p**n) for n in ns}
-        for b in elems:
-            comm = group.commutator(b, a)
-            for n in ns:
-                bad = _equivalence_counterexample(group, a, b, comm, a_pows[n], n)
+    for a in range(group.order):
+        for b in range(group.order):
+            comm = _commutator(rows, inv, b, a)
+            for n, power in pows.items():
+                bad = _equivalence_counterexample(group, power, a, b, comm, n)
                 if bad is not None:
                     return "equivalence failed", bad
                 checked += 1
@@ -149,11 +169,14 @@ def check_commutator_order_bound(group: PcGroup, flags: GroupFlags) -> Outcome:
     has order at most the order of a modulo the center.
     """
     p = group.pres.prime
-    center = group.center()
-    gens = group.generators()
+    rows, inv = group.rows, group.inverses
+    elems = group.elements()
+    center = group.center().elements
+    gens = [group.position(g) for g in group.generators()]
+    orders = [group.element_order(w) for w in elems]
     checked = 0
-    for a in group.elements():
-        bound = next(p**k for k in itertools.count() if group.power(a, p**k) in center)
+    for a in range(group.order):
+        bound = p ** group.pth_steps(a, center)
         slots2 = [(a, g) for g in gens] + [(g, a) for g in gens] + [(a, a)]
         pool = gens + [a]
         slots3 = [
@@ -164,9 +187,15 @@ def check_commutator_order_bound(group: PcGroup, flags: GroupFlags) -> Outcome:
             if a in (x, y, z)
         ]
         for seq in slots2 + slots3:
-            c = group.iterated_commutator(list(seq))
-            if group.element_order(c) > bound:
-                return "commutator order exceeds bound", f"a={a}, slots={seq}, bound={bound}"
+            c = seq[-1]
+            for x in reversed(seq[:-1]):
+                c = _commutator(rows, inv, x, c)
+            if orders[c] > bound:
+                slots = tuple(elems[x] for x in seq)
+                return (
+                    "commutator order exceeds bound",
+                    f"a={elems[a]}, slots={slots}, bound={bound}",
+                )
             checked += 1
     return f"{checked} commutators", None
 
@@ -183,14 +212,27 @@ def check_three_group_congruence(group: PcGroup, flags: GroupFlags) -> Outcome:
     """
     if flags.nilpotency_class <= 1:
         return "abelian: both sides trivial", None
-    one = group.identity
+    rows, inv, elems = group.rows, group.inverses, group.elements()
+    # n -> [index of x^C(3^n, 3)]; x has 3-power order, so C(3^n, 3) is
+    # reduced modulo it and walked down x's row
+    orders = [group.element_order(w) for w in elems]
+    binomial_pows = {}
+    for n in _pn_range(group):
+        k = math.comb(3**n, 3)
+        powers = []
+        for x, row in enumerate(rows):
+            y = 0
+            for _ in range(k % orders[x]):
+                y = row[y]
+            powers.append(y)
+        binomial_pows[n] = powers
+
     checked = 0
-    for a, h, n, _ in _centralizing(group):
-        q = 3**n
-        c = group.commutator(h, a)
-        t = group.commutator(a, group.commutator(a, c))
-        if group.multiply(group.power(t, math.comb(q, 3)), group.power(c, q)) != one:
-            return "congruence failed", f"a={a}, h={h}, n={n}"
+    for a, h, n, power in _centralizing(group):
+        c = _commutator(rows, inv, h, a)
+        t = _commutator(rows, inv, a, _commutator(rows, inv, a, c))
+        if rows[binomial_pows[n][t]][power[c]] != 0:
+            return "congruence failed", f"a={elems[a]}, h={elems[h]}, n={n}"
         checked += 1
     return f"{checked} congruence instances", None
 

@@ -159,6 +159,9 @@ def test_console_script_runs():
         (["verify", "--max-order", "1", "--catalog", "{repeated_ngens}"], 2, "repeated ngens"),
         (["verify", "--rules", ""], 2, "--rules selects no rule"),
         (["verify", "--rules", ","], 2, "--rules selects no rule"),
+        (["verify", "--max-order", "0", "--catalog", "{ngens_two}"], 2,
+         "--max-order 0 selects no group"),
+        (["verify", "--max-order", "-5"], 2, "--max-order -5 selects no group"),
     ],
 )
 def test_exit_codes_without_traceback(args, code, message, tmp_path):

@@ -12,6 +12,7 @@ from schurlab.pcgroup import (
     Collector,
     EnumerationCapExceeded,
     InconsistentPresentation,
+    PcError,
     PcGroup,
     check_consistency,
     group_of,
@@ -104,6 +105,54 @@ def test_table_arithmetic_matches_collection(bundled):
     cover = schur_cover(bundled["heisenberg_3_x_c3"].presentation).group
     assert cover.order == 6561 > PcGroup.MEMO_ORDER_LIMIT
     _assert_arithmetic_matches_collection(cover, rng, 300)
+
+
+def test_index_tables_match_arithmetic(bundled):
+    for entry in bundled.values():
+        if entry.order > 81:
+            continue
+        group = PcGroup(entry.presentation)
+        elems, p = group.elements(), entry.presentation.prime
+        for x, u in enumerate(elems):
+            assert elems[group.inverses[x]] == group.inverse(u), (entry.name, u)
+            assert elems[group.pth(x)] == group.power(u, p), (entry.name, u)
+            row = group.rows[x]
+            assert [elems[y] for y in row] == [group.multiply(u, v) for v in elems], entry.name
+
+
+def _squaring_order(group, u):
+    """The least p^k with u^(p^k) = 1, each power by repeated squaring."""
+    p = group.pres.relative_orders[0]
+    q = 1
+    while group.power(u, q) != group.identity:
+        q *= p
+    return q
+
+
+def test_element_orders_walk_the_pth_map(bundled):
+    cover = schur_cover(bundled["heisenberg_3_x_c3"].presentation).group
+    for group in [PcGroup(e.presentation) for e in bundled.values()] + [cover]:
+        orders = [group.element_order(u) for u in group.elements()]
+        assert orders == [_squaring_order(group, u) for u in group.elements()], group.pres.name
+        assert group.exponent() == max(orders)
+        center = group.center()
+        p = group.pres.relative_orders[0]
+        modulo_center = []
+        for u in group.elements():
+            q = 1
+            while group.power(u, q) not in center:
+                q *= p
+            modulo_center.append(q)
+        assert group.exponent(modulo=center) == max(modulo_center), group.pres.name
+
+
+def test_mixed_prime_orders_by_powering():
+    # C6 = <g1, g2 | g1^2 = g2, g2^3 = 1>: no p-th-power map, orders by powers
+    c6 = PcGroup(make_presentation("c6", [2, 3], power_words={0: ((1, 1),)}))
+    assert [c6.element_order(u) for u in c6.elements()] == [1, 3, 3, 6, 2, 6]
+    assert c6.exponent() == 6
+    with pytest.raises(PcError, match="no p-th-power map"):
+        c6.pth(1)
 
 
 def test_elements_built_once_in_lexicographic_order(groups):

@@ -1,7 +1,12 @@
 import dataclasses
+import json
+from pathlib import Path
 
+from schurlab.catalog import load_bundled
 from schurlab.pcgroup import make_presentation, group_of
-from schurlab.suites import SUITE_IDS, SuiteReport, _centralizing, run_suites
+from schurlab.suites import SUITE_IDS, SUITE_ORDER_CAP, SuiteReport, _centralizing, run_suites
+
+GOLDEN = Path(__file__).parent / "data" / "suite_reports.json"
 
 
 def _by_id(reports):
@@ -67,7 +72,7 @@ def test_centralizing_sweep_matches_two_generator_subgroups(groups):
                         if pair not in closures:
                             closures[pair] = group.closure([a, b])
                         reference.update((a, h, n) for h in closures[pair])
-        swept = [(a, b, n) for a, b, n, _ in _centralizing(group)]
+        swept = [(elems[a], elems[b], n) for a, b, n, _ in _centralizing(group)]
         assert len(set(swept)) == len(swept) and set(swept) == reference, name
         assert _by_id(run_suites(group))["L3.6"].passed, name
 
@@ -86,3 +91,39 @@ def test_suite_detects_violations(bundled):
     assert reports["L3.1"] == SuiteReport(
         "L3.1", True, False, "power-abelian conclusion failed", "a=(0, 1, 0), b=(1, 0, 0), n=1"
     )
+
+
+def suite_report_table() -> dict:
+    """Every report field of every bundled group within the suite cap, under
+    its real flags and with ``is_regular`` and class = p forged, so that the
+    failing sweeps and their counterexamples are pinned too.
+
+    ``tests/data/suite_reports.json`` is this table; rewrite it with
+    ``PYTHONPATH=src:tests python -c "import test_suites as t; t.write_golden()"``
+    only when a suite's output is meant to change.
+    """
+    table = {}
+    for entry in load_bundled():
+        if entry.order > SUITE_ORDER_CAP:
+            continue
+        group = group_of(entry.presentation)
+        flags = group.classify()
+        variants = {
+            "real": flags,
+            "regular": dataclasses.replace(flags, is_regular=True),
+            "class_p": dataclasses.replace(flags, nilpotency_class=entry.presentation.prime),
+        }
+        table[entry.name] = {
+            kind: [dataclasses.asdict(r) for r in run_suites(group, forged)]
+            for kind, forged in variants.items()
+        }
+    return table
+
+
+def write_golden() -> None:
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(suite_report_table(), indent=1) + "\n")
+
+
+def test_suite_reports_match_golden():
+    assert suite_report_table() == json.loads(GOLDEN.read_text())
