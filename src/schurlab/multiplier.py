@@ -114,6 +114,13 @@ def _generating_set(table: Sequence[Sequence[int]], e: int) -> list[int]:
     return gens
 
 
+def _check_oracle_cap(order: int, cap: int) -> None:
+    if cap > ORACLE_HARD_CAP:
+        raise OracleCapExceeded(f"oracle cap {cap} exceeds hard limit {ORACLE_HARD_CAP}")
+    if order > cap:
+        raise OracleCapExceeded(f"group order {order} exceeds oracle cap {cap}")
+
+
 def bar_homology(
     table: Sequence[Sequence[int]], degree: int, cap: int = DEFAULT_ORACLE_CAP
 ) -> AbelianInvariants:
@@ -134,10 +141,7 @@ def bar_homology(
     if degree not in (1, 2):
         raise MultiplierError("only degrees 1 and 2 are supported")
     m = len(table)
-    if cap > ORACLE_HARD_CAP:
-        raise OracleCapExceeded(f"oracle cap {cap} exceeds hard limit {ORACLE_HARD_CAP}")
-    if m > cap:
-        raise OracleCapExceeded(f"group order {m} exceeds oracle cap {cap}")
+    _check_oracle_cap(m, cap)
     if m > DEFAULT_ORACLE_CAP:
         warnings.warn(
             f"bar oracle running above the default cap (|G| = {m})", RuntimeWarning
@@ -256,6 +260,8 @@ def schur_multiplier(
 ) -> AbelianInvariants:
     if method not in ("tails", "bar", "both"):
         raise MultiplierError(f"unknown method {method!r}")
+    if method != "tails":
+        _check_oracle_cap(pres.order, oracle_cap)  # before building |G|² table entries
     if method == "bar":
         return bar_homology(multiplication_table(group_of(pres)), 2, cap=oracle_cap)
     rows, ntails = tails_matrix(pres, tail_perm)

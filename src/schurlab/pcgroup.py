@@ -412,15 +412,14 @@ class PcGroup:
     (Leedham-Green–Soicher, "Collection from the left and other strategies",
     JSC 9, 1990): ``elements()`` is the lexicographic list of normal words,
     and each pc generator g has a right-multiplication column, entry x the
-    index of x·g, filled on demand by one single-letter collection.  A
-    product u·v walks u's index down the columns of v's letters, at most
-    n(p−1) lookups, and an inverse walks u down to the identity.  Groups of
-    order at most ``MEMO_ORDER_LIMIT`` also keep every product in a pair
-    memo, so repeated products are one dict hit.  Larger groups collect each
-    product word by word and build nothing of size |G|.  Every k-th power of
-    an element is computed once.  The lower central and derived series, the
-    center, γ₂, exponents and the k-th power sets and subgroups are computed
-    once and kept; γ₂ is enumerated without enumerating the group.
+    index of x·g, filled on demand by one single-letter collection.  Every
+    product u·v is one walk of u's index down the columns of v's letters, at
+    most n(p−1) lookups; an inverse walks u down to the identity and a power
+    squares repeatedly.  No product is memoized.  Larger groups collect each
+    product word by word and build nothing of size |G|.  The lower central
+    and derived series, the center, γ₂, exponents and the k-th power sets and
+    subgroups are computed once and kept; γ₂ is enumerated without
+    enumerating the group.
 
     Two index maps serve callers that sweep the whole group.  ``rows`` is the
     Cayley table, derived from the columns: y is y' = y − stride[m] times its
@@ -433,21 +432,15 @@ class PcGroup:
     orders mix primes finds orders by powering.
     """
 
-    MEMO_ORDER_LIMIT = 4096
-
     def __init__(self, pres: PcPresentation):
         pres.require_consistent()
         self.pres = pres
         self.collector = pres.collector
         self.identity: NormalWord = (0,) * pres.ngens
-        self._mcache: Optional[dict] = {} if pres.order <= self.MEMO_ORDER_LIMIT else None
         self._tabled = pres.order <= DEFAULT_CAP
         # right-multiplication columns, one per generator once it is first used
         self._right: list[Optional[list[int]]] = [None] * pres.ngens
-        self._pcache: dict[tuple[NormalWord, int], NormalWord] = {}
-        self._ocache: dict[NormalWord, int] = {}
         self._pth: Optional[list[int]] = None
-        self._icache: dict[NormalWord, NormalWord] = {}
         self._exponents: dict[Optional[frozenset[NormalWord]], int] = {}
         self._power_sets: dict[int, frozenset[NormalWord]] = {}
         self._power_subgroups: dict[int, Subgroup] = {}
@@ -481,17 +474,6 @@ class PcGroup:
         return self.collector.collect(letters)
 
     def multiply(self, u: NormalWord, v: NormalWord) -> NormalWord:
-        cache = self._mcache
-        if cache is not None:
-            key = (u, v)
-            w = cache.get(key)
-            if w is None:
-                w = self._product(u, v)
-                cache[key] = w
-            return w
-        return self._product(u, v)
-
-    def _product(self, u: NormalWord, v: NormalWord) -> NormalWord:
         if not self._tabled:
             return self.collector.collect(word_of(u) + word_of(v))
         if v not in self._index:
@@ -516,38 +498,27 @@ class PcGroup:
         return x
 
     def inverse(self, u: NormalWord) -> NormalWord:
-        w = self._icache.get(u)
-        if w is None:
-            if self._tabled:
-                # u·g1^k1·g2^k2··· = 1, each ki chosen to clear exponent i
-                x = self.position(u)
-                ks = []
-                for g, o in enumerate(self.pres.relative_orders):
-                    e = self._words[x][g]
-                    if e:
-                        x = self._step(x, g, o - e)
-                    ks.append((o - e) % o)
-                w = tuple(ks)
-            else:
-                w = self.normalize(tuple((g, -e) for g, e in reversed(word_of(u))))
-            self._icache[u] = w
-        return w
+        if not self._tabled:
+            return self.normalize(tuple((g, -e) for g, e in reversed(word_of(u))))
+        # u·g1^k1·g2^k2··· = 1, each ki chosen to clear exponent i
+        x = self.position(u)
+        ks = []
+        for g, o in enumerate(self.pres.relative_orders):
+            e = self._words[x][g]
+            if e:
+                x = self._step(x, g, o - e)
+            ks.append((o - e) % o)
+        return tuple(ks)
 
     def power(self, u: NormalWord, k: int) -> NormalWord:
-        key = (u, k)
-        result = self._pcache.get(key)
-        if result is None:
-            base = u
-            if k < 0:
-                base = self.inverse(u)
-                k = -k
-            result = self.identity
-            while k:
-                if k & 1:
-                    result = self.multiply(result, base)
-                base = self.multiply(base, base)
-                k >>= 1
-            self._pcache[key] = result
+        if k < 0:
+            u, k = self.inverse(u), -k
+        result = self.identity
+        while k:
+            if k & 1:
+                result = self.multiply(result, u)
+            u = self.multiply(u, u)
+            k >>= 1
         return result
 
     def conjugate(self, g: NormalWord, u: NormalWord) -> NormalWord:
@@ -573,13 +544,10 @@ class PcGroup:
         p = self._walk_prime
         if p is not None:
             return p ** self.pth_steps(self.position(u))
-        o = self._ocache.get(u)
-        if o is None:
-            o = self.order
-            for p in self._order_prime_factors:
-                while o % p == 0 and self.power(u, o // p) == self.identity:
-                    o //= p
-            self._ocache[u] = o
+        o = self.order
+        for p in self._order_prime_factors:
+            while o % p == 0 and self.power(u, o // p) == self.identity:
+                o //= p
         return o
 
     def pth(self, x: int) -> int:
@@ -861,18 +829,19 @@ class PcGroup:
             pairs = ((rng.choice(elems), rng.choice(elems)) for _ in range(512))
             verdict = None
         targets: dict[frozenset, frozenset] = {}
-        if all(self._regular_pair(a, b, p, targets) for a, b in pairs):
+        if all(self._regular_pair(a, b, targets) for a, b in pairs):
             return verdict
         return False
 
     def _regular_pair(
-        self, a: NormalWord, b: NormalWord, p: int, targets: dict[frozenset, frozenset]
+        self, a: NormalWord, b: NormalWord, targets: dict[frozenset, frozenset]
     ) -> bool:
-        # s := b^{-p} a^{-p} (ab)^p must lie in <x^p : x in γ₂(<a,b>)>
-        s = self.multiply(
-            self.multiply(self.power(b, -p), self.power(a, -p)),
-            self.power(self.multiply(a, b), p),
-        )
+        # s := b^{-p} a^{-p} (ab)^p = (a^p b^p)^{-1} (ab)^p must lie in
+        # <x^p : x in γ₂(<a,b>)>; p-th powers come from the p-th-power map
+        def pth(w: NormalWord) -> NormalWord:
+            return self._words[self.pth(self.position(w))]
+
+        s = self.multiply(self.inverse(self.multiply(pth(a), pth(b))), pth(self.multiply(a, b)))
         if s == self.identity:
             return True
         key = frozenset((a, b))
@@ -880,7 +849,7 @@ class PcGroup:
         if target is None:
             # γ₂(H) = normal closure of [a,b] in H = <a,b>
             gamma2 = self.closure(self._conjugates([self.commutator(a, b)], (a, b)))
-            target = self.closure(sorted({self.power(x, p) for x in gamma2}))
+            target = self.closure(sorted({pth(x) for x in gamma2}))
             targets[key] = target
         return s in target
 
@@ -931,8 +900,8 @@ class PcGroup:
 
 @lru_cache(maxsize=8)
 def group_of(pres: PcPresentation) -> PcGroup:
-    """The group of ``pres``, kept with its memo and tables while it is among
-    the few most recently asked for."""
+    """The group of ``pres``, kept with its tables while it is among the few
+    most recently asked for."""
     return PcGroup(pres)
 
 

@@ -1,10 +1,25 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import schurlab
 from schurlab.cli import main
+
+# the directory this schurlab was imported from, first on the subprocesses' path
+_SRC = str(Path(schurlab.__file__).resolve().parent.parent)
+
+
+def run_module(args):
+    """``python -m schurlab.cli args`` against the schurlab under test."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "schurlab.cli", *args], capture_output=True, text=True, env=env
+    )
 
 
 def run_cli(args, capsys):
@@ -131,11 +146,7 @@ def test_verify_oracle_cap_checked_before_any_group(cap, monkeypatch, capsys):
 
 
 def test_console_script_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "schurlab.cli", "alpha", "--m", "2", "--n", "4"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["alpha", "--m", "2", "--n", "4"])
     assert proc.returncode == 0
     assert proc.stdout.strip() == "14"
 
@@ -170,9 +181,7 @@ def test_exit_codes_without_traceback(args, code, message, tmp_path):
     repeated = tmp_path / "repeated_ngens.cat"
     repeated.write_text("[group]\nname = x\nngens = 1\nngens = 2\norders = 2 2\n")
     args = [a.format(ngens_two=bad, repeated_ngens=repeated) for a in args]
-    proc = subprocess.run(
-        [sys.executable, "-m", "schurlab.cli", *args], capture_output=True, text=True
-    )
+    proc = run_module(args)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr

@@ -79,6 +79,18 @@ def test_oracle_caps(bundled):
         bar_homology(table, degree=2, cap=ORACLE_HARD_CAP + 1)
 
 
+@pytest.mark.parametrize("method", ["bar", "both"])
+@pytest.mark.parametrize("order_over_cap", [True, False])
+def test_oracle_cap_checked_before_the_table(bundled, method, order_over_cap):
+    if order_over_cap:
+        pres, cap = bundled["modular_625"].presentation, DEFAULT_ORACLE_CAP
+    else:  # a cap past the hard limit, on a group no other test tabulates
+        pres, cap = make_presentation("cyclic_5", [5]), ORACLE_HARD_CAP + 1
+    with pytest.raises(OracleCapExceeded, match="exceeds"):
+        schur_multiplier(pres, method=method, oracle_cap=cap)
+    assert "rows" not in group_of(pres).__dict__
+
+
 def test_oracle_warns_above_default_cap(bundled):
     group = group_of(bundled["cyclic_64"].presentation)
     table = multiplication_table(group)

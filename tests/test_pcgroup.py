@@ -101,10 +101,28 @@ def test_table_arithmetic_matches_collection(bundled):
     small = [e.presentation for e in bundled.values() if e.order <= 81]
     for pres in small + [bundled["modular_625"].presentation]:
         _assert_arithmetic_matches_collection(PcGroup(pres), rng, 100)
-    # a group above the product memo's limit walks the columns every time
     cover = schur_cover(bundled["heisenberg_3_x_c3"].presentation).group
-    assert cover.order == 6561 > PcGroup.MEMO_ORDER_LIMIT
+    assert cover.order == 6561
     _assert_arithmetic_matches_collection(cover, rng, 300)
+
+
+def test_multiply_keeps_no_per_pair_state(bundled):
+    group = PcGroup(bundled["heisenberg_3_x_c3"].presentation)
+    elems = group.elements()
+    assert len(elems) == 81
+    for u in elems:  # fill every column entry before measuring
+        for g in group.generators():
+            group.multiply(u, g)
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            for u in elems:
+                for v in elems:
+                    group.multiply(u, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 << 10  # a memo of the 6,561 products takes about 0.7 MiB
 
 
 def test_index_tables_match_arithmetic(bundled):
