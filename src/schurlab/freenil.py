@@ -151,7 +151,7 @@ class TruncatedSeries:
             return TruncatedSeries.one(self.k, self.c)
         if n == 1:
             return self
-        head = a**n
+        head = 1 if a == 1 else a**n  # 1 ** -1 is the float 1.0
         parts: list[dict[int, int]] = [{0: head} if head else {}]
         parts.extend({} for _ in range(self.c))
         binom = 1

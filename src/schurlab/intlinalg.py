@@ -2,15 +2,15 @@
 
 A row (or vector) is a dict {column: nonzero value}; a matrix is a list of rows
 plus a column count.  ``LatticeBasis`` keeps a triangular basis of a sublattice
-of Z^dim; its quotient invariants peel off the unit pivots and hand the small
-remainder to ``snf``, a dense Smith normal form.  ``IntegerSolver`` reads
-integer solutions off the same reduction.
+of Z^dim.  One reduction loop, ``LatticeBasis.reduce``, serves insertion,
+membership and ``IntegerSolver``, which reads integer solutions off it.  The
+quotient invariants peel off the unit pivots in one pass and hand the small
+remainder to ``snf``, a dense Smith normal form.
 
 Everything here is arbitrary-precision; no floating point anywhere.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -201,54 +201,31 @@ class LatticeBasis:
                 vec.pop(j, None)
 
     def add(self, vec: dict[int, int]) -> None:
+        """Insert vec into the lattice.  Each vector on the work list is
+        reduced by ``reduce``; a remainder whose leading coordinate has no
+        pivot becomes one, and one whose leading entry the pivot does not
+        divide is merged with the pivot vector by ``xgcd``, sending the
+        displaced vector and the remainder back to the list."""
         pivots = self.pivots
-        work = [dict(vec)]
+        work = [vec]
         while work:
-            v = work.pop()
-            # during reduction the minimum coordinate never decreases, so a
-            # lazily-deleted heap of candidate coordinates replaces min scans
-            heap = list(v)
-            heapq.heapify(heap)
-            while v:
-                i = heap[0] if heap else min(v)
-                if i not in v:
-                    heapq.heappop(heap)
-                    continue
-                c = v[i]
-                b = pivots.get(i)
-                if b is None:
-                    if c < 0:
-                        v = {j: -x for j, x in v.items()}
-                    pivots[i] = v
-                    break
-                a = b[i]
-                if c % a == 0:
-                    q = -(c // a)
-                    get = v.get
-                    for j, x in b.items():
-                        nv = get(j, 0) + q * x
-                        if nv:
-                            if j not in v and j != i:
-                                heapq.heappush(heap, j)
-                            v[j] = nv
-                        else:
-                            del v[j]
-                else:
-                    g, x, y = xgcd(a, c)
-                    new = {}
-                    for j in set(b) | set(v):
-                        val = x * b.get(j, 0) + y * v.get(j, 0)
-                        if val:
-                            new[j] = val
-                    # new has entry g at i; re-reduce the displaced vectors
-                    pivots[i] = new
-                    self._axpy(b, -(a // g), new)
-                    self._axpy(v, -(c // g), new)
-                    for j in new:
-                        heapq.heappush(heap, j)
-                    if b:
-                        work.append(b)
-                    # v continues through the loop
+            v = self.reduce(work.pop())
+            if not v:
+                continue
+            i = min(v)
+            b = pivots.get(i)
+            if b is None:
+                pivots[i] = v if v[i] > 0 else {j: -x for j, x in v.items()}
+                continue
+            a, c = b[i], v[i]
+            g, x, y = xgcd(a, c)
+            new: dict[int, int] = {}
+            self._axpy(new, x, b)
+            self._axpy(new, y, v)
+            pivots[i] = new  # leading entry g > 0
+            self._axpy(b, -(a // g), new)
+            self._axpy(v, -(c // g), new)
+            work += (b, v)  # v, the remainder, is reduced first
 
     def contains(self, vec: dict[int, int]) -> bool:
         return self.reduce(vec) == {}
@@ -270,26 +247,22 @@ class LatticeBasis:
 
     def quotient_invariants(self) -> tuple[tuple[int, ...], int]:
         """Invariants of Z^dim modulo this lattice: (torsion chain, free rank)."""
-        vectors = [dict(v) for v in self.pivots.values()]
-        free_rank = self.dim - len(vectors)
-
-        # Peel off coordinates whose pivot value is 1: they contribute trivial
-        # invariant factors and shrink the matrix handed to dense SNF.
-        changed = True
-        while changed:
-            changed = False
-            for idx, v in enumerate(vectors):
-                if not v:
-                    raise RuntimeError("zero vector in triangular basis")
-                piv = min(v)
-                if v[piv] == 1:
-                    for w in vectors:
-                        if w is not v and piv in w:
-                            self._axpy(w, -w[piv], v)
-                    vectors.pop(idx)
-                    changed = True
-                    break
-
+        free_rank = self.dim - self.rank
+        # A coordinate whose pivot value is 1 contributes a trivial invariant
+        # factor: clear it from the other vectors and drop its vector.  Only
+        # vectors with lower pivots carry it, and clearing never changes a
+        # pivot value, so one walk from the highest pivot down, clearing each
+        # vector with the unit vectors already cleared above it, peels all.
+        units: dict[int, dict[int, int]] = {}
+        vectors = []
+        for i in sorted(self.pivots, reverse=True):
+            v = dict(self.pivots[i])
+            for j in [j for j in v if j in units]:
+                self._axpy(v, -v[j], units[j])
+            if v[i] == 1:
+                units[i] = v
+            else:
+                vectors.append(v)
         if not vectors:
             return (), free_rank
         coords = sorted(set().union(*vectors))

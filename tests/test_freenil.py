@@ -98,6 +98,13 @@ def test_default_binding_letters():
     assert set(binding) == {"a", "b", "c"}
 
 
+def test_inverse_and_commutator_coefficients_are_ints():
+    a = TruncatedSeries.generator(2, 6, 0)
+    b = TruncatedSeries.generator(2, 6, 1)
+    for s in (a.inverse(), group_commutator(a, b)):
+        assert all(type(x) is int for part in s.parts for x in part.values())
+
+
 @st.composite
 def series(draw, constant=st.just(1), k=None, c=None):
     """A random series on k in {2, 3} letters, truncated at c in 1..6, with a

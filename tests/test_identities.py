@@ -8,6 +8,7 @@ from schurlab.identities import (
     LEMMA_IDS,
     FormalSum,
     IdentityError,
+    _check_l41,
     alpha,
     collection_exponents_class5,
     e_r,
@@ -146,3 +147,8 @@ def test_unknown_lemma_id():
 def test_collection_lemma_at_large_n(lemma_id):
     report = verify_collection_lemma(lemma_id, n_max=60)
     assert report.passed, report.counterexample
+
+
+def test_l41iii_exact_past_float_precision():
+    # coefficients of [b, a^n] pass 2^53 near n = 874
+    assert _check_l41("iii", range(870, 880)) == []

@@ -160,3 +160,36 @@ def test_integer_solver_property(matrix, data):
     odd[j] = odd.get(j, 0) + 1
     with pytest.raises(ValueError):
         IntegerSolver(dim, doubled).solve(odd)
+
+
+# sparse vectors in up to 12 coordinates with entries ±1 and ±2: unit pivots,
+# chains of them and xgcd merges of a leading ±1 into a pivot 2 are all common
+unit_heavy = st.integers(1, 12).flatmap(
+    lambda dim: st.tuples(
+        st.just(dim),
+        st.lists(
+            st.dictionaries(st.integers(0, dim - 1),
+                            st.sampled_from((-2, -1, 1, 2)), max_size=4),
+            max_size=14,
+        ),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_heavy)
+def test_lattice_basis_invariants_after_each_add(matrix):
+    dim, vectors = matrix
+    basis = LatticeBasis(dim)
+    inserted = []
+    for vec in vectors:
+        before = dict(vec)
+        basis.add(vec)
+        assert vec == before
+        inserted.append(vec)
+        for i, b in basis.pivots.items():
+            assert min(b) == i and b[i] > 0
+        assert all(basis.contains(v) for v in inserted)
+        result = snf(inserted, dim)
+        torsion = tuple(d for d in result.diagonal if d > 1)
+        assert basis.quotient_invariants() == (torsion, dim - result.rank)

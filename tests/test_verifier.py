@@ -271,3 +271,11 @@ def test_cover_over_enumeration_cap_keeps_multiplier(bundled, monkeypatch):
 def test_bundle_json_matches_reference(catalog_run):
     reference = Path(__file__).parents[1] / "perfbench" / "reference" / "verify_bundle.json"
     assert catalog_run(1).render("json") + "\n" == reference.read_text()
+
+
+def test_identities_output_matches_reference(capsys):
+    from schurlab import cli
+
+    reference = Path(__file__).parents[1] / "perfbench" / "reference" / "identities.txt"
+    assert cli.main(["identities"]) == 0
+    assert capsys.readouterr().out == reference.read_text()
