@@ -1,5 +1,9 @@
 """Combinatorics of collection exponents: the alpha sums, the formal symbol
 calculus on weight-(p+1) commutators, and the lemma-verification dispatcher.
+
+A sum of weight-(p+1) symbols is the list of its 2^(p-1) integer
+coefficients, indexed by the mask of the symbol's b-slots; Theorem 3.9's
+a -> ab substitution is a subset-sum pass over that list.
 """
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import add, itemgetter
+from operator import add, sub
 from typing import Callable, NamedTuple, Optional
 
 from . import freenil
@@ -48,88 +52,24 @@ def alpha(m: int, n: int) -> int:
 #
 # Symbols are the right-normed commutators [x_{p-1}, ..., x_1, [b, a]] with
 # each x_i in {a, b}; they commute with one another at weight p+1, so integer
-# combinations form a free abelian group.  A symbol is stored as the tuple
-# (x_{p-1}, ..., x_1) over the alphabet "ab".
-
-_LETTERS = frozenset("ab")
-
-
-@dataclass(frozen=True)
-class FormalSum:
-    length: int
-    terms: tuple[tuple[tuple[str, ...], int], ...]  # sorted, coefficients != 0
-
-    @classmethod
-    def from_dict(cls, length: int, d: dict[tuple[str, ...], int]) -> "FormalSum":
-        if d and (
-            set(map(len, d)) != {length}
-            or not _LETTERS.issuperset(itertools.chain.from_iterable(d))
-        ):
-            bad = next(t for t in d if len(t) != length or not _LETTERS.issuperset(t))
-            raise IdentityError(f"bad symbol {bad!r}")
-        return cls(length, tuple(sorted(filter(itemgetter(1), d.items()))))
-
-    def as_dict(self) -> dict[tuple[str, ...], int]:
-        return dict(self.terms)
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        if self.length != other.length:
-            raise IdentityError("lengths differ")
-        d = self.as_dict()
-        for t, c in other.terms:
-            d[t] = d.get(t, 0) + c
-        return FormalSum.from_dict(self.length, d)
-
-    def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + other.scale(-1)
-
-    def scale(self, k: int) -> "FormalSum":
-        return FormalSum.from_dict(self.length, {t: k * c for t, c in self.terms})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+# combinations form a free abelian group.  A sum of symbols is the list of its
+# 2^(p-1) coefficients: entry ``mask`` is the coefficient of the symbol whose
+# b-slots are the set bits of ``mask`` (slot 0, x_{p-1}, is the top bit).  S_r,
+# the symbols with exactly r slots equal to b, is the set of masks with r bits
+# set, and E_r is the sum over S_r.
 
 
-@lru_cache(maxsize=None)
-def symbols_with_b_count(p: int, r: int) -> tuple[tuple[str, ...], ...]:
-    """S_r: the symbols with exactly r slots equal to b (|S_r| = C(p-1, r))."""
-    out = []
-    for positions in itertools.combinations(range(p - 1), r):
-        t = ["a"] * (p - 1)
-        for pos in positions:
-            t[pos] = "b"
-        out.append(tuple(t))
-    return tuple(out)
-
-
-def e_r(p: int, r: int) -> FormalSum:
-    return FormalSum.from_dict(p - 1, {t: 1 for t in symbols_with_b_count(p, r)})
-
-
-@lru_cache(maxsize=None)
-def _symbol_masks(
-    length: int,
-) -> tuple[tuple[tuple[str, ...], ...], dict[tuple[str, ...], int]]:
-    """Every symbol of the given length in sorted order, which lists each at
-    its b-position mask (slot 0 the highest bit), and the mask of each."""
-    symbols = tuple(itertools.product("ab", repeat=length))
-    return symbols, {t: mask for mask, t in enumerate(symbols)}
-
-
-def substitute_ab(s: FormalSum, p: int) -> FormalSum:
+def substitute_ab(coeffs: list[int], p: int) -> list[int]:
     """Replace a with ab: each a-slot independently stays a or becomes b
     (the inner [b, a] is unchanged since [b, ab] = [b, a]).
 
     A symbol with b-position set S goes to every superset of S, so the
     result is the subset-sum (zeta) transform of the coefficients over the
     2^(p-1) masks: one pass per slot, (p-1) 2^(p-2) additions in all."""
-    if s.length != p - 1:
-        raise IdentityError("symbol length does not match p")
     length = p - 1
-    symbols, mask_of = _symbol_masks(length)
-    coeffs = [0] * len(symbols)
-    for t, c in s.terms:
-        coeffs[mask_of[t]] = c
+    if length < 0 or len(coeffs) != 1 << length:
+        raise IdentityError(f"p = {p} needs 2^{length} coefficients, got {len(coeffs)}")
+    coeffs = list(coeffs)
     half = len(coeffs) // 2
     for _ in range(length):
         # The top slot: a mask without it also reaches the mask with it.  Then
@@ -139,23 +79,20 @@ def substitute_ab(s: FormalSum, p: int) -> FormalSum:
         low = coeffs[:half]
         coeffs[1::2] = map(add, low, coeffs[half:])
         coeffs[0::2] = low
-    return FormalSum.from_dict(length, {t: c for t, c in zip(symbols, coeffs) if c})
+    return coeffs
 
 
-def _project_onto_er(s: FormalSum, p: int) -> tuple[int, ...]:
+def _project_onto_er(coeffs: list[int], p: int) -> tuple[int, ...]:
     """Coefficients (on E_1..E_{p-1}) of a sum that is uniform on each S_r."""
-    coeffs = []
-    d = s.as_dict()
+    values: list[set[int]] = [set() for _ in range(p)]
+    for mask, c in enumerate(coeffs):
+        values[mask.bit_count()].add(c)
     for r in range(1, p):
-        group = symbols_with_b_count(p, r)
-        values = {d.get(t, 0) for t in group}
-        if len(values) != 1:
+        if len(values[r]) != 1:
             raise IdentityError(f"sum is not uniform on S_{r}")
-        coeffs.append(values.pop())
-    leftover = d.get(tuple("a" * (p - 1)), 0)
-    if leftover:
+    if coeffs[0]:
         raise IdentityError("unexpected E_0 component")
-    return tuple(coeffs)
+    return tuple(v.pop() for v in values[1:])
 
 
 def er_chain(p: int) -> list[tuple[int, ...]]:
@@ -166,12 +103,10 @@ def er_chain(p: int) -> list[tuple[int, ...]]:
     (0, ..., 0, (p-1)!)."""
     if p < 3 or not _is_odd_prime(p):
         raise IdentityError("p must be an odd prime")
-    current = FormalSum.from_dict(p - 1, {})
-    for r in range(1, p):
-        current = current + e_r(p, r)
+    current = [0] + [1] * ((1 << (p - 1)) - 1)
     chain = [_project_onto_er(current, p)]
     for _m in range(2, p):
-        current = substitute_ab(current, p) - current
+        current = list(map(sub, substitute_ab(current, p), current))
         chain.append(_project_onto_er(current, p))
     return chain
 

@@ -531,15 +531,6 @@ class PcGroup:
         vu = self.multiply(v, u)
         return self.multiply(uv, self.inverse(vu))
 
-    def iterated_commutator(self, seq: Sequence[NormalWord]) -> NormalWord:
-        """Right-normed: [x1, x2, ..., xm] = [x1, [x2, [...]]]."""
-        if not seq:
-            raise PcError("empty commutator")
-        acc = seq[-1]
-        for x in reversed(seq[:-1]):
-            acc = self.commutator(x, acc)
-        return acc
-
     def element_order(self, u: NormalWord) -> int:
         p = self._walk_prime
         if p is not None:

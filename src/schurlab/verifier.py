@@ -194,8 +194,8 @@ def evaluate_rules(
         "R10": divides(ext, *e_power(thm65_bound(c, p)))
         if odd_p and c >= p else na("needs odd p and class >= p"),
         # R11: p-central metabelian -> e(M) | e(G)
-        "R11": divides(mult, e, "e(G)")
-        if flags.central_pn <= 1 and flags.is_metabelian
+        "R11": na("needs a p-group") if p is None
+        else divides(mult, e, "e(G)") if flags.central_pn <= 1 and flags.is_metabelian
         else na("needs p-central and metabelian"),
         # R12: derived length d -> e(M) | e(G)^d (odd e) or 2^{d-1} e(G)^d (even e)
         "R12": divides(mult, 2**a * e**d, f"e(G)^{d}" if e % 2 else f"2^{a}·e(G)^{d}"),

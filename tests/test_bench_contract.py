@@ -68,4 +68,8 @@ def test_pass_entry_points_exist():
     fields = {f.name for f in dataclasses.fields(verifier.RunConfig)}
     assert {"catalog_paths", "include_bundled", "jobs"} <= fields
     _assert_wrappable(verifier, "run")
-    _assert_wrappable(importlib.import_module("schurlab.catalog"), "load_bundled")
+    catalog = importlib.import_module("schurlab.catalog")
+    _assert_wrappable(catalog, "load_bundled")
+    # the run script names its items by entry.name and verifies entry.presentation
+    for entry in catalog.load_bundled():
+        assert entry.presentation.name == entry.name

@@ -8,7 +8,6 @@ def test_bundle_loads_and_is_consistent():
     assert len(entries) >= 40
     names = [e.name for e in entries]
     assert len(names) == len(set(names))
-    assert all(e.source == "bundled" for e in entries)
 
 
 def test_bundle_coverage():
@@ -21,25 +20,13 @@ def test_bundle_coverage():
     assert "heisenberg_3" in entries and "wreath_c3_c3" in entries
 
 
-def test_tags():
-    entries = {e.name: e for e in load_bundled()}
-    assert "cyclic" in entries["cyclic_8"].tags
-    assert "abelian" in entries["cyclic_8"].tags
-    assert "extraspecial" in entries["heisenberg_3"].tags
-    assert "maximal_class" in entries["dihedral_16"].tags
-    assert "elementary_abelian" in entries["abelian_3_3"].tags
-    assert "maximal_class" not in entries["dihedral_8"].tags  # tagged extraspecial
-    assert "wreath" in entries["wreath_c3_c3"].tags
-
-
 def test_import_file_roundtrip(tmp_path):
     src = load_bundled()[0].presentation.to_catalog_text()
     path = tmp_path / "extra.cat"
     path.write_text(src)
     entries = import_file(str(path))
     assert len(entries) == 1
-    assert entries[0].source == "imported"
-    assert entries[0].tags == frozenset()
+    assert entries[0].presentation.to_catalog_text() == src
 
 
 def test_import_rejects_inconsistent(tmp_path):

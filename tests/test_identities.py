@@ -1,17 +1,14 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurlab.identities import (
     LEMMA_IDS,
-    FormalSum,
     IdentityError,
     _check_l41,
+    _project_onto_er,
     alpha,
     collection_exponents_class5,
-    e_r,
     er_chain,
     substitute_ab,
     verify_collection_lemma,
@@ -70,56 +67,51 @@ def test_er_chain_step_vectors_are_alpha():
 
 
 def test_substitute_ab_on_e1():
-    # a -> {a, b} in each slot of the weight-(p-1) word
-    s = e_r(3, 0)  # the two-letter all-a word, r = 0 b's
-    expanded = substitute_ab(s, 3)
-    assert len(expanded.terms) == 4  # (a|b)^2 choices
-    assert all(c == 1 for _, c in expanded.terms)
+    # the all-a symbol of weight p+1 = 4 goes to every symbol: a -> {a, b} in
+    # each of its two slots
+    assert substitute_ab([1, 0, 0, 0], 3) == [1, 1, 1, 1]
 
 
-def flip_enumeration(s, p):
-    """substitute_ab by listing, for every symbol, each subset of its a-slots
-    turned to b."""
-    out = {}
-    for t, c in s.terms:
-        a_slots = [i for i, x in enumerate(t) if x == "a"]
-        for k in range(len(a_slots) + 1):
-            for flip in itertools.combinations(a_slots, k):
-                d = list(t)
-                for i in flip:
-                    d[i] = "b"
-                out[tuple(d)] = out.get(tuple(d), 0) + c
-    return FormalSum.from_dict(p - 1, out)
+def flip_enumeration(coeffs):
+    """substitute_ab by adding each mask's coefficient to every superset mask:
+    every subset of a symbol's a-slots turned to b."""
+    out = [0] * len(coeffs)
+    for mask, c in enumerate(coeffs):
+        for sup in range(len(coeffs)):
+            if sup & mask == mask:
+                out[sup] += c
+    return out
 
 
 @st.composite
-def formal_sums(draw):
+def coefficient_lists(draw):
     p = draw(st.sampled_from((3, 5, 7)))
-    symbols = st.tuples(*[st.sampled_from("ab")] * (p - 1))
-    return p, FormalSum.from_dict(
-        p - 1, draw(st.dictionaries(symbols, st.integers(-5, 5), max_size=20))
-    )
+    return p, draw(st.lists(st.integers(-5, 5), min_size=2 ** (p - 1), max_size=2 ** (p - 1)))
 
 
 @settings(max_examples=80, deadline=None)
-@given(formal_sums())
+@given(coefficient_lists())
 def test_substitute_ab_matches_flip_enumeration(case):
-    p, s = case
-    assert substitute_ab(s, p) == flip_enumeration(s, p)
+    p, coeffs = case
+    before = list(coeffs)
+    assert substitute_ab(coeffs, p) == flip_enumeration(coeffs)
+    assert coeffs == before
 
 
-def test_formal_sum_rejects_bad_symbols():
-    for bad in ({("a", "c"): 1}, {("a",): 1}, {("a", "b"): 1, ("a", "b", "a"): 2}):
-        with pytest.raises(IdentityError, match="bad symbol"):
-            FormalSum.from_dict(2, bad)
-
-
-def test_formal_sum_arithmetic():
-    x = e_r(3, 1)
-    assert x + x == x.scale(2)
-    assert (x - x).is_zero()
-    y = FormalSum.from_dict(2, {("a", "b"): 1, ("b", "a"): -1})
-    assert (x + y).as_dict() == {("a", "b"): 2}
+def test_symbol_calculus_guards():
+    for coeffs in ([], [1, 0, 0], [0] * 8):
+        with pytest.raises(IdentityError, match="needs 2"):
+            substitute_ab(coeffs, 3)
+    with pytest.raises(IdentityError, match="not uniform on S_1"):
+        _project_onto_er([0, 1, 2, 3], 3)
+    # non-uniform on S_2 and a nonzero E_0 entry: the uniformity guard comes first
+    with pytest.raises(IdentityError, match="not uniform on S_2"):
+        _project_onto_er([5, 1, 1, 2, 1, 1, 1, 1], 4)
+    with pytest.raises(IdentityError, match="unexpected E_0 component"):
+        _project_onto_er([5, 1, 1, 1], 3)
+    for p in (1, 2, 4, 9):
+        with pytest.raises(IdentityError, match="odd prime"):
+            er_chain(p)
 
 
 def test_collection_exponents_class5_known():

@@ -72,6 +72,15 @@ def test_rule_examples(bundled, heis_profile):
     assert v4_rules["R13"].status == "holds"  # e(M)=2 divides 2*2
 
 
+def test_r11_needs_a_p_group():
+    from schurlab.pcgroup import make_presentation
+
+    c15 = make_presentation("c15", [3, 5], power_words={0: ((1, 1),)})
+    rules = evaluate_rules(profile(c15))
+    assert rules["R11"] == RuleResult("not_applicable", "needs a p-group")
+    assert rules["R12"].status == "holds"
+
+
 def test_rule_evaluation_is_pure(heis_profile):
     first = evaluate_rules(heis_profile)
     second = evaluate_rules(heis_profile)
