@@ -354,25 +354,21 @@ def schur_cover(
     )
 
     # Self-checks: consistency (PcGroup raises otherwise), the order law, and
-    # the stem property kernel <= Z(H) ∩ γ₂(H).
+    # the stem property kernel <= Z(H) ∩ γ₂(H).  γ₂(H) maps onto γ₂(G) with
+    # kernel γ₂(H) ∩ M, so M <= γ₂(H) exactly when |γ₂(H)| = |γ₂(G)|·|M|.
     cover_group = PcGroup(cover_pres)
     expected_order = pres.order * multiplier.order
     if cover_pres.order != expected_order:
         raise MultiplierError(
             f"{pres.name}: cover order {cover_pres.order} != {expected_order}"
         )
-    kernel_gens = tuple(
-        cover_group.generator(i) for i in range(n, cover_pres.ngens)
-    )
+    kernel_gens = tuple(cover_group.generator(i) for i in range(n, cover_pres.ngens))
     for h in kernel_gens:
         for i in range(n):
             if cover_group.commutator(h, cover_group.generator(i)) != cover_group.identity:
                 raise MultiplierError(f"{pres.name}: cover kernel is not central")
-    if kernel_gens:
-        gamma2 = cover_group.gamma2
-        for h in kernel_gens:
-            if h not in gamma2:
-                raise MultiplierError(f"{pres.name}: cover kernel not inside γ₂ (stem fails)")
+    if cover_group.gamma2.order != group_of(pres).gamma2.order * multiplier.order:
+        raise MultiplierError(f"{pres.name}: cover kernel not inside γ₂ (stem fails)")
     return CoverResult(cover_pres, kernel_gens, multiplier, cover_group)
 
 

@@ -365,31 +365,66 @@ def check_consistency(pres: PcPresentation) -> list[Violation]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subgroup:
+    """A subgroup held as an induced pc sequence (Holt–Eick–O'Brien,
+    *Handbook of Computational Group Theory*, 2005, the chapter on
+    computation with polycyclic groups), filled by ``PcGroup.subgroup``:
+    ``terms[d]`` is the term of depth d, exponents 0 before d and 1 at d.
+    The members are the products t^e t'^e' ··· of the terms in order of
+    depth, each e below the relative order at its depth, so those orders
+    multiply to the order.  Membership sifts; only ``elements`` enumerates."""
+
     group: "PcGroup"
-    generators: tuple[NormalWord, ...]
-    elements: frozenset[NormalWord]
+    terms: dict[int, NormalWord] = field(default_factory=dict)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        orders = self.group.pres.relative_orders
+        return math.prod(orders[d] for d in self.terms)
+
+    def sift(self, w: NormalWord) -> NormalWord:
+        """w with its exponents cleared in order by powers of the terms on the
+        left, up to a depth with no term: the identity exactly on members."""
+        group = self.group
+        for d, o in enumerate(group.pres.relative_orders):
+            if w[d]:
+                t = self.terms.get(d)
+                if t is None:
+                    break
+                w = group.multiply(group.power(t, o - w[d]), w)
+        return w
 
     def __contains__(self, w: NormalWord) -> bool:
-        return w in self.elements
+        return self.sift(w) == self.group.identity
+
+    def __le__(self, other: "Subgroup") -> bool:
+        return all(t in other for t in self.terms.values())
 
     def is_trivial(self) -> bool:
-        return self.order == 1
+        return not self.terms
+
+    @cached_property
+    def elements(self) -> frozenset[NormalWord]:
+        """Every member, enumerated once, for the callers that sweep them."""
+        group = self.group
+        if self.order > DEFAULT_CAP:
+            raise EnumerationCapExceeded(
+                f"{group.pres.name}: subgroup order {self.order} exceeds cap {DEFAULT_CAP}"
+            )
+        members = [group.identity]
+        for d in sorted(self.terms, reverse=True):
+            t, o = self.terms[d], group.pres.relative_orders[d]
+            powers = [group.power(t, e) for e in range(o)]
+            members = [group.multiply(x, y) for x in powers for y in members]
+        return frozenset(members)
 
     def exponent(self) -> int:
         return self._exponent
 
     @cached_property
     def _exponent(self) -> int:
-        e = 1
-        for w in self.elements:
-            e = math.lcm(e, self.group.element_order(w))
-        return e
+        return math.lcm(*(self.group.element_order(w) for w in self.elements))
 
 
 @dataclass(frozen=True)
@@ -416,10 +451,10 @@ class PcGroup:
     product u·v is one walk of u's index down the columns of v's letters, at
     most n(p−1) lookups; an inverse walks u down to the identity and a power
     squares repeatedly.  No product is memoized.  Larger groups collect each
-    product word by word and build nothing of size |G|.  The lower central
-    and derived series, the center, γ₂, exponents and the k-th power sets and
-    subgroups are computed once and kept; γ₂ is enumerated without
-    enumerating the group.
+    product word by word and build nothing of size |G|.  Subgroups are
+    induced pc sequences built by ``subgroup``: γ₂ and the lower central and
+    derived series cost collections, not enumeration.  The center, exponents
+    and the k-th power sets and subgroups sweep the group.  Each is kept.
 
     Two index maps serve callers that sweep the whole group.  ``rows`` is the
     Cayley table, derived from the columns: y is y' = y − stride[m] times its
@@ -622,62 +657,40 @@ class PcGroup:
         """inverses[x] is the index of the inverse of element x."""
         return [row.index(0) for row in self.rows]
 
-    def closure(self, gens: Iterable[NormalWord]) -> frozenset[NormalWord]:
-        elems = {self.identity}
-        frontier = [self.identity]
-        gens = [g for g in gens if g != self.identity]
-        while frontier:
-            x = frontier.pop()
-            for s in gens:
-                y = self.multiply(x, s)
-                if y not in elems:
-                    if len(elems) >= DEFAULT_CAP:
-                        raise EnumerationCapExceeded(
-                            f"{self.pres.name}: subgroup closure exceeds cap {DEFAULT_CAP}"
-                        )
-                    elems.add(y)
-                    frontier.append(y)
-        return frozenset(elems)
-
-    def _conjugates(
-        self, seeds: Iterable[NormalWord], conjugators: Sequence[NormalWord]
-    ) -> list[NormalWord]:
-        """Sorted nontrivial conjugates of ``seeds`` under ``conjugators``:
-        generators of their normal closure in <conjugators>."""
-        seen = set(seeds) - {self.identity}
-        frontier = list(seen)
-        while frontier:
-            x = frontier.pop()
-            for g in conjugators:
-                y = self.conjugate(g, x)
-                if y != self.identity and y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return sorted(seen)
-
     def subgroup(
-        self, gens: Iterable[NormalWord], normal_closure: bool = False
+        self, gens: Iterable[NormalWord], conjugators: Sequence[NormalWord] = ()
     ) -> Subgroup:
-        gens = [self.normalize(word_of(g)) for g in gens]
-        if normal_closure:
-            gens = self._conjugates(gens, self.generators())
-        return Subgroup(self, tuple(gens), self.closure(gens))
-
-    def trivial_subgroup(self) -> Subgroup:
-        return Subgroup(self, (), frozenset([self.identity]))
+        """<gens>, closed under conjugation by ``conjugators`` too (the normal
+        closure of ``gens`` in <gens, conjugators>).  Each queued word is
+        sifted; a remainder becomes the term of its depth, normalised to
+        leading exponent 1, and queues its p-th power, its commutators with
+        the other terms and its commutators with the conjugators."""
+        sub = Subgroup(self)
+        orders = self.pres.relative_orders
+        queue = [self.normalize(word_of(g)) for g in gens]
+        while queue:
+            w = sub.sift(queue.pop())
+            if w == self.identity:
+                continue
+            d = next(i for i, e in enumerate(w) if e)
+            t = self.power(w, pow(w[d], -1, orders[d]))
+            queue.append(self.power(t, orders[d]))
+            queue.extend(self.commutator(t, s) for s in sub.terms.values())
+            queue.extend(self.commutator(c, t) for c in conjugators)
+            sub.terms[d] = t
+        return sub
 
     def full_subgroup(self) -> Subgroup:
-        return Subgroup(self, tuple(self.generators()), frozenset(self.elements()))
+        return Subgroup(self, dict(enumerate(self.generators())))
 
     # -- characteristic structure ---------------------------------------------
 
     @cached_property
     def gamma2(self) -> Subgroup:
-        """γ₂ = [G, G]: only its own elements are enumerated, never all of G."""
+        """γ₂ = [G, G], the normal closure of the generators' commutators."""
         gens = self.generators()
         return self.subgroup(
-            [self.commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]],
-            normal_closure=True,
+            [self.commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]], gens
         )
 
     def lower_central_series(self) -> list[Subgroup]:
@@ -685,9 +698,9 @@ class PcGroup:
         return list(self._lower_central)
 
     def gamma(self, m: int) -> Subgroup:
-        """γ_m, or the trivial subgroup past the end of the series."""
+        """γ_m; past the end of the series, its last term, the trivial subgroup."""
         lcs = self._lower_central
-        return lcs[m - 1] if m - 1 < len(lcs) else self.trivial_subgroup()
+        return lcs[min(m, len(lcs)) - 1]
 
     def derived_series(self) -> list[Subgroup]:
         return list(self._derived)
@@ -712,13 +725,10 @@ class PcGroup:
             if nxt.order == series[-1].order:
                 raise PcError(f"{self.pres.name}: {what} series does not terminate")
             series.append(nxt)
-            current = list(nxt.generators)
-            comms = (
-                self.commutator(a, b)
-                for a in current
-                for b in (current if partners is None else partners)
-            )
-            nxt = self.subgroup([c for c in comms if c != self.identity], normal_closure=True)
+            terms = list(nxt.terms.values())
+            others = terms if partners is None else partners
+            comms = [self.commutator(a, b) for a in terms for b in others]
+            nxt = self.subgroup(comms, self.generators())
         return tuple(series)
 
     def center(self) -> Subgroup:
@@ -727,34 +737,28 @@ class PcGroup:
     @cached_property
     def _center(self) -> Subgroup:
         gens = self.generators()
-        central = [
+        return self.subgroup(
             w
             for w in self.elements()
             if all(self.multiply(w, g) == self.multiply(g, w) for g in gens)
-        ]
-        return Subgroup(self, tuple(central), frozenset(central))
+        )
 
     def power_subgroup(self, k: int) -> Subgroup:
         """G^k = <x^k : x in G>, built once per k."""
-        sub = self._power_subgroups.get(k)
-        if sub is None:
-            sub = self.subgroup(sorted(self.power_set(k) - {self.identity}))
-            self._power_subgroups[k] = sub
-        return sub
+        if k not in self._power_subgroups:
+            self._power_subgroups[k] = self.subgroup(self.power_set(k))
+        return self._power_subgroups[k]
 
     def power_set(self, k: int) -> frozenset[NormalWord]:
         """The bare set {x^k : x in G} (not necessarily a subgroup), built once per k."""
-        powers = self._power_sets.get(k)
-        if powers is None:
-            powers = frozenset(self.power(w, k) for w in self.elements())
-            self._power_sets[k] = powers
-        return powers
+        if k not in self._power_sets:
+            self._power_sets[k] = frozenset(self.power(w, k) for w in self.elements())
+        return self._power_sets[k]
 
     def exponent(self, modulo: Optional[Subgroup] = None) -> int:
         key = None if modulo is None else modulo.elements
-        e = self._exponents.get(key)
-        if e is not None:
-            return e
+        if key in self._exponents:
+            return self._exponents[key]
         p = self._walk_prime
         if p is not None:
             e = p ** max(self.pth_steps(x, key) for x in range(self.order))
@@ -839,8 +843,8 @@ class PcGroup:
         target = targets.get(key)
         if target is None:
             # γ₂(H) = normal closure of [a,b] in H = <a,b>
-            gamma2 = self.closure(self._conjugates([self.commutator(a, b)], (a, b)))
-            target = self.closure(sorted({pth(x) for x in gamma2}))
+            gamma2 = self.subgroup([self.commutator(a, b)], (a, b))
+            target = self.subgroup({pth(x) for x in gamma2.elements})
             targets[key] = target
         return s in target
 
@@ -859,14 +863,14 @@ class PcGroup:
         if p is not None:
             gp = self.power_subgroup(p)
             if p == 2:
-                is_powerful = gamma2.elements <= self.power_subgroup(4).elements
+                is_powerful = gamma2 <= self.power_subgroup(4)
             else:
-                is_powerful = gamma2.elements <= gp.elements
+                is_powerful = gamma2 <= gp
             for m in range(2, p):
-                if self.gamma(m).elements <= gp.elements:
+                if self.gamma(m) <= gp:
                     condition1_m = m
                     break
-            condition2 = self.gamma(p).elements <= self.power_subgroup(p * p).elements
+            condition2 = self.gamma(p) <= self.power_subgroup(p * p)
             n = 0
             e = central_exp
             while e > 1:

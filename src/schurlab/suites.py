@@ -257,7 +257,7 @@ def check_power_set_property(group: PcGroup, flags: GroupFlags) -> Outcome:
     power_set = group.power_set(p)
     subgroup = group.power_subgroup(p).elements
     if power_set != subgroup:
-        extra = next(iter(subgroup - power_set))
+        extra = min(subgroup - power_set)
         return (
             f"G^p has {len(subgroup)} elements, only {len(power_set)} are p-th powers",
             f"{extra} is not a p-th power",

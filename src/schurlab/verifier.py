@@ -4,8 +4,9 @@ Each catalog group gets a GroupProfile (order, flags, exponent data, Schur
 multiplier, exterior-square exponent) and a report stating, for every rule
 R1..R14, whether its hypothesis applies and whether its divisibility
 conclusion holds.  A violated rule is a finding to surface, not an internal
-error.  Runs are deterministic: output is ordered by group name regardless of
-worker count.
+error; a group whose computation fails gets an error report instead, and the
+run goes on.  Runs are deterministic: output is ordered by group name
+regardless of worker count.
 """
 from __future__ import annotations
 
@@ -22,9 +23,8 @@ from .multiplier import (
     crosscheck_multiplier,
     exterior_exponent,
     schur_cover,
-    schur_multiplier,
 )
-from .pcgroup import EnumerationCapExceeded, GroupFlags, PcPresentation, group_of
+from .pcgroup import EnumerationCapExceeded, GroupFlags, PcError, PcPresentation, group_of
 from .suites import SuiteReport, run_suites
 
 RULE_IDS = (
@@ -65,17 +65,16 @@ def profile(pres: PcPresentation, oracle_cap: int = DEFAULT_ORACLE_CAP) -> Group
     gamma2_exp = group.gamma2.exponent()
     central_quot_exp = group.exponent(modulo=group.center())
 
-    # One tails matrix and one cover group give M(G) and e(G∧G); only a cover
-    # too large to enumerate γ₂(H) needs M(G) computed on its own.
+    # One tails matrix and one cover group give M(G) and e(G∧G); only the
+    # exponent walk over γ₂(H) enumerates, and it may pass the cap.
+    cover = schur_cover(pres)
+    mult = cover.multiplier
     ext: Optional[int]
     ext_skip: Optional[str]
     try:
-        cover = schur_cover(pres)
-        mult = cover.multiplier
         ext = exterior_exponent(pres, cover)
         ext_skip = None
     except EnumerationCapExceeded as exc:
-        mult = schur_multiplier(pres, method="tails")
         ext = None
         ext_skip = f"cover enumeration cap: {exc}"
 
@@ -239,8 +238,12 @@ def record_for(
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     rules: Optional[tuple[str, ...]] = None,
 ) -> dict:
-    """JSON-ready report for one group."""
-    prof = profile(pres, oracle_cap=oracle_cap)
+    """JSON-ready report for one group.  A schurlab error (``PcError``) is
+    the group's report, with status "error", and the run goes on."""
+    try:
+        prof = profile(pres, oracle_cap=oracle_cap)
+    except PcError as exc:
+        return {"name": pres.name, "order": pres.order, "status": "error", "error": str(exc)}
     evaluated = evaluate_rules(prof, list(rules) if rules is not None else None)
     flags = prof.flags
     return {
@@ -307,6 +310,10 @@ class RunResult:
         if fmt == "csv":
             lines = ["group,order,rule,status,witness"]
             for rec in self.records:
+                if "error" in rec:
+                    error = rec["error"].replace(",", ";")
+                    lines.append(f"{rec['name']},{rec['order']},,error,{error}")
+                    continue
                 for rule, res in rec["rules"].items():
                     witness = (res["witness"] or "").replace(",", ";")
                     lines.append(
@@ -315,6 +322,9 @@ class RunResult:
             return "\n".join(lines)
         lines = []
         for rec in self.records:
+            if "error" in rec:
+                lines.append(f"{rec['name']} (order {rec['order']}): error: {rec['error']}")
+                continue
             mult = rec["multiplier"]
             lines.append(
                 f"{rec['name']} (order {rec['order']}, class {rec['class']}, "
@@ -352,8 +362,11 @@ def run(config: RunConfig) -> RunResult:
 
     # Each rule status counts under its prefix: "skipped(...)" under skipped.
     summary: dict[str, dict[str, int]] = {}
-    skipped = 0
+    skipped = errors = 0
     for rec in records:
+        if "error" in rec:
+            errors += 1
+            continue
         skipped += rec["multiplier_crosscheck"].startswith("skipped")
         skipped += isinstance(rec["exterior_exponent"], str)
         for rule, res in rec["rules"].items():
@@ -366,6 +379,8 @@ def run(config: RunConfig) -> RunResult:
     exit_code = 0
     if any(counts["violated"] for counts in summary.values()):
         exit_code = 1
+    elif errors:
+        exit_code = 4
     elif config.strict and skipped:
         exit_code = 3
     return RunResult(records=records, summary=summary, exit_code=exit_code)

@@ -39,6 +39,27 @@ def groups(bundled):
     return get
 
 
+def reference_closure(group, gens) -> frozenset:
+    """<gens> by breadth-first search: the identity closed under right
+    multiplication by ``gens`` (in a finite group the monoid is the group)."""
+    elems = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        x = frontier.pop()
+        for s in gens:
+            y = group.multiply(x, s)
+            if y not in elems:
+                elems.add(y)
+                frontier.append(y)
+    return frozenset(elems)
+
+
+@pytest.fixture(scope="session")
+def closure():
+    """The enumerating reference that induced pc sequences are tested against."""
+    return reference_closure
+
+
 @pytest.fixture(scope="session")
 def check_lemma():
     return lemma_result

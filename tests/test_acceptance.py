@@ -152,7 +152,7 @@ def test_criterion_07_cover_laws(bundled):
                 for u in cover.generators()
                 for v in cover.generators()
             ],
-            normal_closure=True,
+            cover.generators(),
         ).elements
         for k in kernel:
             assert k in center, name

@@ -173,6 +173,8 @@ def test_console_script_runs():
         (["verify", "--max-order", "0", "--catalog", "{ngens_two}"], 2,
          "--max-order 0 selects no group"),
         (["verify", "--max-order", "-5"], 2, "--max-order -5 selects no group"),
+        (["verify", "--catalog", "{big_3_12}", "--format", "json"], 4, ""),
+        (["verify", "--catalog", "{big_3_12}", "--format", "json", "--jobs", "2"], 4, ""),
     ],
 )
 def test_exit_codes_without_traceback(args, code, message, tmp_path):
@@ -180,8 +182,20 @@ def test_exit_codes_without_traceback(args, code, message, tmp_path):
     bad.write_text("[group]\nname = x\nngens = two\norders = 2 2\n")
     repeated = tmp_path / "repeated_ngens.cat"
     repeated.write_text("[group]\nname = x\nngens = 1\nngens = 2\norders = 2 2\n")
-    args = [a.format(ngens_two=bad, repeated_ngens=repeated) for a in args]
+    big = tmp_path / "big_3_12.cat"  # consistent, but above the enumeration cap
+    big.write_text("[group]\nname = big_3_12\nngens = 12\norders =" + " 3" * 12 + "\n")
+    args = [a.format(ngens_two=bad, repeated_ngens=repeated, big_3_12=big) for a in args]
     proc = run_module(args)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+    if code == 4:
+        # one group errored: its record says why, and every bundled group is reported
+        records = {rec["name"]: rec for rec in json.loads(proc.stdout)["groups"]}
+        assert records.pop("big_3_12") == {
+            "name": "big_3_12",
+            "order": 3**12,
+            "status": "error",
+            "error": "big_3_12: order 531441 exceeds cap 200000",
+        }
+        assert len(records) == 49 and all("rules" in rec for rec in records.values())

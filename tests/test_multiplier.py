@@ -176,14 +176,16 @@ def test_bar_equals_tails_above_default_cap(bundled):
 
 
 def test_tail_permutation_invariance(bundled):
-    pres = bundled["heisenberg_3"].presentation
-    base = schur_multiplier(pres, method="tails")
-    ntails = pres.ngens + pres.ngens * (pres.ngens - 1) // 2
-    perm = list(reversed(range(ntails)))
-    assert schur_multiplier(pres, method="tails", tail_perm=perm) == base
-    cover = schur_cover(pres, tail_perm=perm)
-    assert cover.multiplier == base
-    assert exterior_exponent(pres, cover) == exterior_exponent(pres, schur_cover(pres))
+    for name, entry in sorted(bundled.items()):
+        pres = entry.presentation
+        base = schur_multiplier(pres, method="tails")
+        ntails = pres.ngens + pres.ngens * (pres.ngens - 1) // 2
+        perm = list(reversed(range(ntails)))
+        assert schur_multiplier(pres, method="tails", tail_perm=perm) == base, name
+        cover = schur_cover(pres, tail_perm=perm)
+        assert cover.multiplier == base, name
+        expected = exterior_exponent(pres, schur_cover(pres))
+        assert exterior_exponent(pres, cover) == expected, name
 
 
 def _reference_tails_rows(pres, tail_perm):
@@ -258,7 +260,7 @@ def test_cover_laws(bundled):
         center = cover.center()
         for k in kernel:
             assert k in center
-        sub = cover.subgroup(kernel, normal_closure=True)
+        sub = cover.subgroup(kernel, cover.generators())
         assert sub.order == result.multiplier.order
 
 

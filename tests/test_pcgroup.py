@@ -283,6 +283,57 @@ def test_center_contains_last_gamma(groups):
         assert last.elements <= group.center().elements
 
 
+def _normal_closure(group, gens, conjugators, closure):
+    """The closure of gens and of all their conjugates under <conjugators>,
+    grown until conjugation adds nothing."""
+    members = closure(group, gens)
+    while True:
+        conjugates = {group.conjugate(c, x) for c in conjugators for x in members}
+        if conjugates <= members:
+            return members
+        members = closure(group, sorted(members | conjugates))
+
+
+def test_subgroup_matches_closure(bundled, closure):
+    rng = random.Random(16)
+    for name, entry in sorted(bundled.items()):
+        if entry.order > 81:
+            continue
+        group = group_of(entry.presentation)
+        elems = group.elements()
+        subs = []
+        for _ in range(4):
+            gens = [rng.choice(elems) for _ in range(rng.randint(1, 3))]
+            sub, members = group.subgroup(gens), closure(group, gens)
+            assert sub.elements == members, (name, gens)
+            assert sub.order == len(sub.elements), (name, gens)
+            for d, t in sub.terms.items():
+                assert not any(t[:d]) and t[d] == 1, (name, t)
+            assert [x in sub for x in elems] == [x in members for x in elems], (name, gens)
+            subs.append((sub, members))
+            conjugators = [rng.choice(elems) for _ in range(rng.randint(1, 2))]
+            normal = _normal_closure(group, gens, conjugators, closure)
+            assert group.subgroup(gens, conjugators).elements == normal, (name, gens)
+        for a, a_members in subs:
+            for b, b_members in subs:
+                assert (a <= b) == (a_members <= b_members), name
+
+
+def test_subgroup_order_and_membership_enumerate_nothing():
+    # Heisenberg(5) x C_5^3: M(G) = C_5^11, so the cover has order 5^17 and
+    # γ₂(H) order 5 * 5^11, both above the enumeration cap
+    pres = make_presentation("heis5_x_c5_3", [5] * 6, comm_words={(1, 0): ((2, 1),)})
+    result = schur_cover(pres)
+    assert result.multiplier.torsion == (5,) * 11
+    gamma2 = result.group.gamma2
+    assert gamma2.order == 5**12
+    assert all(h in gamma2 for h in result.kernel_generators)
+    assert result.group.generator(0) not in gamma2
+    assert "elements" not in vars(gamma2)
+    with pytest.raises(EnumerationCapExceeded, match="subgroup order 244140625"):
+        gamma2.elements
+
+
 def test_quotient_exponent(groups):
     group = groups("dihedral_16")
     z = group.center()

@@ -54,7 +54,7 @@ def test_l36_covers_all_small_3_groups(bundled, groups):
         assert reports["L3.6"].passed, name
 
 
-def test_centralizing_sweep_matches_two_generator_subgroups(groups):
+def test_centralizing_sweep_matches_two_generator_subgroups(groups, closure):
     # L3.6 quantifies over h in <a,b> whenever [b, a^(3^n)] = 1; the shared
     # sweep must yield exactly those (a, h, n), each once.
     for name in ("heisenberg_3", "modular_27", "heisenberg_3_x_c3", "modular_81", "wreath_c3_c3"):
@@ -70,7 +70,7 @@ def test_centralizing_sweep_matches_two_generator_subgroups(groups):
                     if group.commutator(b, aq) == one:
                         pair = frozenset((a, b))
                         if pair not in closures:
-                            closures[pair] = group.closure([a, b])
+                            closures[pair] = closure(group, [a, b])
                         reference.update((a, h, n) for h in closures[pair])
         swept = [(elems[a], elems[b], n) for a, b, n, _ in _centralizing(group)]
         assert len(set(swept)) == len(swept) and set(swept) == reference, name

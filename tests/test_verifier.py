@@ -195,6 +195,42 @@ def test_pool_has_no_more_workers_than_groups(monkeypatch):
     assert started == [len(gather_entries(config))] == [len(result.records)]
 
 
+def test_group_error_is_reported_and_the_run_goes_on(monkeypatch):
+    from schurlab import verifier
+    from schurlab.pcgroup import PcError
+
+    real_profile, real_rules = verifier.profile, verifier.evaluate_rules
+
+    def failing_profile(pres, oracle_cap):
+        if pres.name == "cyclic_2":
+            raise PcError("cyclic_2: forged failure, for the test")
+        return real_profile(pres, oracle_cap=oracle_cap)
+
+    monkeypatch.setattr(verifier, "profile", failing_profile)
+    config = RunConfig(max_order=4)
+    result = verifier.run(config)
+    assert result.exit_code == 4
+    assert len(result.records) == len(gather_entries(config)) > 1
+    error = {"name": "cyclic_2", "order": 2, "status": "error",
+             "error": "cyclic_2: forged failure, for the test"}
+    assert error in result.records
+    assert all("rules" in rec for rec in result.records if rec != error)
+    text = result.render("text").splitlines()
+    assert "cyclic_2 (order 2): error: cyclic_2: forged failure, for the test" in text
+    csv = result.render("csv").splitlines()
+    assert [line for line in csv if line.startswith("cyclic_2,")] == [
+        "cyclic_2,2,,error,cyclic_2: forged failure; for the test"
+    ]
+    assert verifier.run(dataclasses.replace(config, strict=True, oracle_cap=0)).exit_code == 4
+
+    # a genuine violation still exits 1
+    def violating_rules(prof, selection=None):
+        return {**real_rules(prof, selection), "R12": RuleResult("violated", "forged")}
+
+    monkeypatch.setattr(verifier, "evaluate_rules", violating_rules)
+    assert verifier.run(config).exit_code == 1
+
+
 def test_render_formats(catalog_run):
     result = catalog_run(1)
     csv = result.render("csv")
@@ -267,10 +303,10 @@ def test_cover_over_enumeration_cap_keeps_multiplier(bundled, monkeypatch):
     from schurlab import verifier
     from schurlab.pcgroup import EnumerationCapExceeded
 
-    def capped_cover(pres, tail_perm=None):
-        raise EnumerationCapExceeded(f"{pres.name}.cover: closure exceeds cap")
+    def capped_exponent(pres, cover_result):
+        raise EnumerationCapExceeded(f"{pres.name}.cover: subgroup order exceeds cap")
 
-    monkeypatch.setattr(verifier, "schur_cover", capped_cover)
+    monkeypatch.setattr(verifier, "exterior_exponent", capped_exponent)
     prof = profile(bundled["heisenberg_3"].presentation, oracle_cap=0)
     assert prof.multiplier.torsion == (3, 3)
     assert prof.exterior_exponent is None
