@@ -33,6 +33,12 @@ Word = tuple[tuple[int, int], ...]       # ((generator, exponent), ...), 0-based
 NormalWord = tuple[int, ...]
 
 DEFAULT_CAP = 200_000
+# Listing G for the index tables costs about half a microsecond an element; a
+# product walked down the tables saves several microseconds of collection.
+# Up to this order the few thousand products of ``classify`` repay the list,
+# so a group lists itself at its first product; a larger one collects until
+# something sweeps it.
+TABLE_ORDER = 4096
 
 
 class PcError(Exception):
@@ -424,7 +430,18 @@ class Subgroup:
 
     @cached_property
     def _exponent(self) -> int:
-        return math.lcm(*(self.group.element_order(w) for w in self.elements))
+        group = self.group
+        terms = list(self.terms.values())
+        commute = all(
+            group.commutator(a, b) == group.identity
+            for i, a in enumerate(terms)
+            for b in terms[i + 1:]
+        )
+        if commute or group._regular_by_class:
+            # abelian, or inside a regular group: regular, so the terms'
+            # orders bound the exponent (see ``PcGroup.exponent``)
+            return math.lcm(*(group._order_modulo(t) for t in terms))
+        return math.lcm(*(group.element_order(w) for w in self.elements))
 
 
 @dataclass(frozen=True)
@@ -443,28 +460,33 @@ class GroupFlags:
 class PcGroup:
     """Arithmetic and structure for one consistent pc presentation.
 
-    A group of order at most ``DEFAULT_CAP`` computes by index tables
-    (Leedham-Green–Soicher, "Collection from the left and other strategies",
-    JSC 9, 1990): ``elements()`` is the lexicographic list of normal words,
-    and each pc generator g has a right-multiplication column, entry x the
-    index of x·g, filled on demand by one single-letter collection.  Every
-    product u·v is one walk of u's index down the columns of v's letters, at
-    most n(p−1) lookups; an inverse walks u down to the identity and a power
-    squares repeatedly.  No product is memoized.  Larger groups collect each
-    product word by word and build nothing of size |G|.  Subgroups are
-    induced pc sequences built by ``subgroup``: γ₂ and the lower central and
-    derived series cost collections, not enumeration.  The center, exponents
-    and the k-th power sets and subgroups sweep the group.  Each is kept.
+    ``elements()`` lists the normal words lexicographically, at most
+    ``DEFAULT_CAP`` of them.  From the first product in a group of order at
+    most ``TABLE_ORDER``, and from that list on in a larger group, products
+    compute by index tables (Leedham-Green–Soicher, "Collection from the left
+    and other strategies", JSC 9, 1990): each pc generator g has a
+    right-multiplication column, entry x the index of x·g, filled on demand by
+    one single-letter collection.  Every product u·v is one walk of u's index
+    down the columns of v's letters, at most n(p−1) lookups; an inverse walks
+    u down to the identity and a power squares repeatedly.  No product is
+    memoized.  Until then products collect word by word.
+
+    Subgroups are induced pc sequences built by ``subgroup``, so γ₂, the lower
+    central and derived series and the center cost collections, not
+    enumeration.  When the group is abelian or a p-group of class below p
+    (``_regular_by_class``), the exponents, the exponents modulo a normal
+    subgroup and the power subgroups G^k come from the pc generators too;
+    other groups sweep for them.  Each is kept.
 
     Two index maps serve callers that sweep the whole group.  ``rows`` is the
     Cayley table, derived from the columns: y is y' = y − stride[m] times its
     last letter g_m, so row x reads entry y off column m at entry y'.  It
     takes |G|² entries, so only the capped pair sweeps of the law suites and
-    the bar oracle ask for it.  In a tabled p-group, ``pth(x)`` is the
+    the bar oracle ask for it.  In an enumerable p-group, ``pth(x)`` is the
     index of x^p, filled on demand by walking x's letters p − 1 times down
-    the columns; element orders and exponents walk this map, so x has order
-    p^k when k steps reach the identity.  A presentation whose relative
-    orders mix primes finds orders by powering.
+    the columns; element orders, the swept exponents and the p-th power set
+    walk this map, so x has order p^k when k steps reach the identity.  A
+    presentation whose relative orders mix primes finds orders by powering.
     """
 
     def __init__(self, pres: PcPresentation):
@@ -472,18 +494,19 @@ class PcGroup:
         self.pres = pres
         self.collector = pres.collector
         self.identity: NormalWord = (0,) * pres.ngens
-        self._tabled = pres.order <= DEFAULT_CAP
+        # whether products walk the index tables (see ``TABLE_ORDER``)
+        self._tabled = pres.order <= TABLE_ORDER
         # right-multiplication columns, one per generator once it is first used
         self._right: list[Optional[list[int]]] = [None] * pres.ngens
         self._pth: Optional[list[int]] = None
-        self._exponents: dict[Optional[frozenset[NormalWord]], int] = {}
+        self._exponents: dict[Optional[Subgroup], int] = {}
         self._power_sets: dict[int, frozenset[NormalWord]] = {}
         self._power_subgroups: dict[int, Subgroup] = {}
         self._order_prime_factors = sorted(set(pres.relative_orders))
-        # the prime of a tabled p-group, whose orders walk the p-th-power map
+        # the prime of an enumerable p-group, whose sweeps walk the p-th-power map
         self._walk_prime = (
             self._order_prime_factors[0]
-            if self._tabled and len(self._order_prime_factors) == 1
+            if pres.order <= DEFAULT_CAP and len(self._order_prime_factors) == 1
             else None
         )
 
@@ -570,10 +593,25 @@ class PcGroup:
         p = self._walk_prime
         if p is not None:
             return p ** self.pth_steps(self.position(u))
+        return self._order_modulo(u)
+
+    def _order_modulo(self, u: NormalWord, modulo: Optional[Subgroup] = None) -> int:
+        """The least k > 0 with u^k in ``modulo`` (the identity when None), by
+        powering: up u's p-th powers in a p-group, else down from |G|."""
+
+        def inside(w: NormalWord) -> bool:
+            return w == self.identity if modulo is None else w in modulo
+
+        primes = self._order_prime_factors
+        if len(primes) == 1:
+            k = 1
+            while not inside(u):
+                u, k = self.power(u, primes[0]), k * primes[0]
+            return k
         o = self.order
-        for p in self._order_prime_factors:
-            while o % p == 0 and self.power(u, o // p) == self.identity:
-                o //= p
+        for q in primes:
+            while o % q == 0 and inside(self.power(u, o // q)):
+                o //= q
         return o
 
     def pth(self, x: int) -> int:
@@ -613,11 +651,13 @@ class PcGroup:
     # -- enumeration and subgroups -------------------------------------------
 
     def elements(self) -> tuple[NormalWord, ...]:
-        """Every normal word, in lexicographic order, built once."""
-        if not self._tabled:
+        """Every normal word, in lexicographic order, built once; from then on
+        products walk the index tables."""
+        if self.order > DEFAULT_CAP:
             raise EnumerationCapExceeded(
                 f"{self.pres.name}: order {self.order} exceeds cap {DEFAULT_CAP}"
             )
+        self._tabled = True
         return self._words
 
     def position(self, w: NormalWord) -> int:
@@ -736,42 +776,88 @@ class PcGroup:
 
     @cached_property
     def _center(self) -> Subgroup:
+        """Z(G) down the central series G_k = <g_k, ..., g_n>.  With C the
+        preimage of Z(G/G_k), z -> (exponent k of [z, g_i])_{i<k} is a
+        homomorphism from C to C_q^k, q = o_k, because G_k/G_{k+1} is central
+        (and [G, G_i] <= G_{i+1} clears i >= k).  Its kernel, the preimage of
+        Z(G/G_{k+1}), is generated by G_k and the products t^c of C's terms
+        t_1, ..., t_r above depth k over an echelon basis of the nullspace
+        of their images mod q.  C/G_k is abelian, so G_k holds the terms'
+        commutators, and no power of a term is needed: let e be the exponent
+        vector, over the t_i, of a kernel element, and i its first nonzero
+        position.  If a basis vector c starts at i, e - e_i c starts later.
+        If none does, the relative order at t_i is q (a power relation
+        t_i^o = t^f with o prime to q puts o e_i - f, which starts at i, in
+        the nullspace) and q divides e_i, so the power relation moves e_i to
+        later positions."""
         gens = self.generators()
-        return self.subgroup(
-            w
-            for w in self.elements()
-            if all(self.multiply(w, g) == self.multiply(g, w) for g in gens)
-        )
+        center = self.full_subgroup()
+        if not self.pres.comm_words:
+            return center
+        for k, q in enumerate(self.pres.relative_orders):
+            top = [t for d, t in sorted(center.terms.items()) if d < k]
+            images = [[self.commutator(t, g)[k] for g in gens[:k]] for t in top]
+            if not any(map(any, images)):
+                continue
+            kernel = gens[k:]
+            for c in _nullspace_mod(images, q):
+                z = self.identity
+                for t, e in zip(top, c):
+                    z = self.multiply(z, self.power(t, e))
+                kernel.append(z)
+            center = self.subgroup(kernel)
+        return center
 
     def power_subgroup(self, k: int) -> Subgroup:
-        """G^k = <x^k : x in G>, built once per k."""
-        if k not in self._power_subgroups:
-            self._power_subgroups[k] = self.subgroup(self.power_set(k))
-        return self._power_subgroups[k]
+        """G^k = <x^k : x in G>, built once per k.  When ``_regular_by_class``
+        holds, the k-th powers of G are the subgroup they generate (P. Hall,
+        Proc. LMS 36, 1934), the normal closure of the generators' k-th
+        powers; otherwise the power set is swept."""
+        sub = self._power_subgroups.get(k)
+        if sub is None:
+            if self._regular_by_class:
+                gens = self.generators()
+                sub = self.subgroup([self.power(g, k) for g in gens], gens)
+            else:
+                sub = self.subgroup(self.power_set(k))
+            self._power_subgroups[k] = sub
+        return sub
 
     def power_set(self, k: int) -> frozenset[NormalWord]:
-        """The bare set {x^k : x in G} (not necessarily a subgroup), built once per k."""
+        """The bare set {x^k : x in G} (not necessarily a subgroup), built once
+        per k.  In an enumerable p-group x -> x^m permutes G for m prime to
+        p, so the set is {x^(p^j)} for the p-part p^j of k: j steps of the
+        ``pth`` map."""
         if k not in self._power_sets:
-            self._power_sets[k] = frozenset(self.power(w, k) for w in self.elements())
+            words, p = self.elements(), self._walk_prime
+            if p is None:
+                powers = frozenset(self.power(w, k) for w in words)
+            else:
+                xs, m = range(self.order), k
+                while m % p == 0:
+                    xs, m = [self.pth(x) for x in xs], m // p
+                powers = frozenset(words[x] for x in xs)
+            self._power_sets[k] = powers
         return self._power_sets[k]
 
     def exponent(self, modulo: Optional[Subgroup] = None) -> int:
-        key = None if modulo is None else modulo.elements
-        if key in self._exponents:
-            return self._exponents[key]
+        """exp(G), or exp(G/N) for the normal subgroup N = ``modulo``, once per
+        subgroup object.  When ``_regular_by_class`` holds, G/N is regular
+        (or abelian), so its elements of order at most p^k form a subgroup
+        (P. Hall, 1934) and the generators' orders modulo N bound the
+        exponent; otherwise every element is swept."""
+        e = self._exponents.get(modulo)
+        if e is not None:
+            return e
         p = self._walk_prime
-        if p is not None:
-            e = p ** max(self.pth_steps(x, key) for x in range(self.order))
+        if self._regular_by_class:
+            e = math.lcm(*(self._order_modulo(g, modulo) for g in self.generators()))
+        elif p is not None:
+            members = None if modulo is None else modulo.elements
+            e = p ** max(self.pth_steps(x, members) for x in range(self.order))
         else:
-            e = 1
-            for w in self.elements():
-                k = self.element_order(w)
-                if modulo is not None:
-                    for q in self._order_prime_factors:
-                        while k % q == 0 and self.power(w, k // q) in modulo:
-                            k //= q
-                e = math.lcm(e, k)
-        self._exponents[key] = e
+            e = math.lcm(*(self._order_modulo(w, modulo) for w in self.elements()))
+        self._exponents[modulo] = e
         return e
 
     def abelianization_invariants(self) -> tuple[int, ...]:
@@ -801,18 +887,23 @@ class PcGroup:
     def nilpotency_class(self) -> int:
         return len(self.lower_central_series()) - 1
 
+    @cached_property
+    def _regular_by_class(self) -> bool:
+        """Abelian, or a p-group of class below p: the criteria that make a
+        group regular exactly."""
+        cls = self.nilpotency_class()
+        p = self.pres.prime
+        return cls <= 1 or (p is not None and cls < p)
+
     def is_regular(self) -> Optional[bool]:
         """Exact for |G| <= 81 (exhaustive pairs) and for the standard criteria
-        (abelian; class < p; nonabelian 2-group); otherwise a sampled pass
+        (``_regular_by_class``; nonabelian 2-group); otherwise a sampled pass
         returns False when a sampled pair fails and None ("unknown") when
         every sampled pair passes."""
         p = self.pres.prime
         if p is None:
             return None
-        cls = self.nilpotency_class()
-        if cls == 1:
-            return True
-        if cls < p:
+        if self._regular_by_class:
             return True
         if p == 2:
             return False  # nonabelian 2-groups are never regular
@@ -891,6 +982,29 @@ class PcGroup:
             central_pn=central_pn,
             is_metabelian=dlen <= 2,
         )
+
+
+def _nullspace_mod(rows: list[list[int]], q: int) -> list[list[int]]:
+    """A basis of {c : sum_i c_i rows[i] = 0 mod q}, q prime, in echelon form.
+    Each row is reduced, with the combination that reduces it, against the
+    rows after it; one that reduces to zero gives the vector with c_i = 1
+    and c_j = 0 for j < i."""
+    r, width = len(rows), len(rows[0])
+    pivots: list[tuple[int, list[int]]] = []  # (column, row with a 1 there)
+    null = []
+    for i in reversed(range(r)):
+        v = [x % q for x in rows[i]] + [int(j == i) for j in range(r)]
+        for col, b in pivots:
+            if v[col]:
+                f = v[col]
+                v = [(x - f * y) % q for x, y in zip(v, b)]
+        col = next((j for j in range(width) if v[j]), None)
+        if col is None:
+            null.append(v[width:])
+        else:
+            inv = pow(v[col], -1, q)
+            pivots.append((col, [x * inv % q for x in v]))
+    return null
 
 
 @lru_cache(maxsize=8)

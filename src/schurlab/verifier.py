@@ -61,6 +61,9 @@ class GroupProfile:
 def profile(pres: PcPresentation, oracle_cap: int = DEFAULT_ORACLE_CAP) -> GroupProfile:
     group = group_of(pres)
     flags = group.classify()
+    # the suites sweep G, so a group above the enumeration cap fails here,
+    # before its cover is built and checked
+    suites = tuple(run_suites(group, flags))
     p = pres.prime
     gamma2_exp = group.gamma2.exponent()
     central_quot_exp = group.exponent(modulo=group.center())
@@ -108,7 +111,7 @@ def profile(pres: PcPresentation, oracle_cap: int = DEFAULT_ORACLE_CAP) -> Group
         r8_m=r8_m,
         r8_gamma_exponent=r8_gamma,
         r8_quotient_exponent=r8_quot,
-        suites=tuple(run_suites(group, flags)),
+        suites=suites,
     )
 
 

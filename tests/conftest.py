@@ -6,6 +6,8 @@ acceptance tests.
 """
 from __future__ import annotations
 
+import math
+import types
 from functools import lru_cache
 
 import pytest
@@ -58,6 +60,46 @@ def reference_closure(group, gens) -> frozenset:
 def closure():
     """The enumerating reference that induced pc sequences are tested against."""
     return reference_closure
+
+
+def reference_center(group) -> frozenset:
+    """Z(G) by sweeping G for the elements that commute with every generator."""
+    gens = group.generators()
+    return frozenset(
+        w for w in group.elements()
+        if all(group.multiply(w, g) == group.multiply(g, w) for g in gens)
+    )
+
+
+def reference_exponent(group, over=None, modulo=None) -> int:
+    """The lcm over x in ``over`` (all of G when None) of the least k with x^k
+    in ``modulo``, an element set (the identity when None), found by
+    multiplying by x until the power lands there: exp(G), exp(G/N) or the
+    exponent of a subgroup."""
+    inside = (lambda w: w == group.identity) if modulo is None else modulo.__contains__
+    e = 1
+    for x in group.elements() if over is None else over:
+        y, k = x, 1
+        while not inside(y):
+            y, k = group.multiply(y, x), k + 1
+        e = math.lcm(e, k)
+    return e
+
+
+def reference_power_subgroup(group, k) -> frozenset:
+    """G^k: the subgroup generated by the k-th powers of every element."""
+    return group.subgroup({group.power(w, k) for w in group.elements()}).elements
+
+
+@pytest.fixture(scope="session")
+def sweeps():
+    """The sweeping references that the center, the exponents and the power
+    subgroups are tested against."""
+    return types.SimpleNamespace(
+        center=reference_center,
+        exponent=reference_exponent,
+        power_subgroup=reference_power_subgroup,
+    )
 
 
 @pytest.fixture(scope="session")

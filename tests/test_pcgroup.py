@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurlab import verifier
 from schurlab.multiplier import schur_cover
 from schurlab.pcgroup import (
     DEFAULT_CAP,
@@ -164,6 +165,43 @@ def test_element_orders_walk_the_pth_map(bundled):
         assert group.exponent(modulo=center) == max(modulo_center), group.pres.name
 
 
+def _sweep_cases(bundled):
+    """Every bundled group, the cover of each bundled group of order <= 243
+    but abelian_3_3_3_3 (the sweeps fill its cover's 590,490 table entries,
+    over 10 s), and D8 x C3, whose relative orders mix primes."""
+    for name, entry in sorted(bundled.items()):
+        yield PcGroup(entry.presentation)
+        if entry.order <= 243 and name != "abelian_3_3_3_3":
+            yield schur_cover(entry.presentation).group
+    yield PcGroup(make_presentation(
+        "d8_x_c3", [2, 2, 2, 3], power_words={1: ((2, 1),)}, comm_words={(1, 0): ((2, 1),)}
+    ))
+
+
+def test_center_exponents_and_power_subgroups_match_sweeps(bundled, sweeps):
+    for group in _sweep_cases(bundled):
+        name = group.pres.name
+        center = group.center()
+        z = sweeps.center(group)
+        assert center.elements == z, name
+        assert center.order == len(z), name
+        assert group.exponent() == sweeps.exponent(group), name
+        assert group.exponent(modulo=center) == sweeps.exponent(group, modulo=z), name
+        subgroups = [center, group.gamma2]
+        for m in range(3, group.nilpotency_class() + 1):
+            gamma = group.gamma(m)
+            expected = sweeps.exponent(group, modulo=gamma.elements)
+            assert group.exponent(modulo=gamma) == expected, name
+            subgroups.append(gamma)
+        p = group.pres.prime
+        for k in () if p is None else sorted({p, p * p, 4} if p == 2 else {p, p * p}):
+            power = group.power_subgroup(k)
+            assert power.elements == sweeps.power_subgroup(group, k), (name, k)
+            subgroups.append(power)
+        for sub in subgroups:
+            assert sub.exponent() == sweeps.exponent(group, over=sub.elements), name
+
+
 def test_mixed_prime_orders_by_powering():
     # C6 = <g1, g2 | g1^2 = g2, g2^3 = 1>: no p-th-power map, orders by powers
     c6 = PcGroup(make_presentation("c6", [2, 3], power_words={0: ((1, 1),)}))
@@ -220,6 +258,13 @@ def test_element_orders_and_powers(groups):
     assert d8.power_set(2) == d8.power_subgroup(2).elements
     assert d8.power_subgroup(2) is d8.power_subgroup(2)  # built once per k
     assert d8.power_set(2) is d8.power_set(2)
+    for name, ks in (("dihedral_8", (1, 2, 3, 4, 6, 12)), ("wreath_c3_c3", (2, 3, 6, 9, 18)),
+                     ("heisenberg_3", (2, 3, 6))):
+        group = groups(name)
+        for k in ks:  # the pth map, once per factor p of k
+            powers = {group.power(w, k) for w in group.elements()}
+            assert group.power_set(k) == powers, (name, k)
+            assert group.power_subgroup(k).elements == group.subgroup(powers).elements, (name, k)
 
 
 def test_series_and_abelianization(groups):
@@ -319,7 +364,7 @@ def test_subgroup_matches_closure(bundled, closure):
                 assert (a <= b) == (a_members <= b_members), name
 
 
-def test_subgroup_order_and_membership_enumerate_nothing():
+def test_subgroup_order_and_membership_enumerate_nothing(monkeypatch):
     # Heisenberg(5) x C_5^3: M(G) = C_5^11, so the cover has order 5^17 and
     # γ₂(H) order 5 * 5^11, both above the enumeration cap
     pres = make_presentation("heis5_x_c5_3", [5] * 6, comm_words={(1, 0): ((2, 1),)})
@@ -332,6 +377,31 @@ def test_subgroup_order_and_membership_enumerate_nothing():
     assert "elements" not in vars(gamma2)
     with pytest.raises(EnumerationCapExceeded, match="subgroup order 244140625"):
         gamma2.elements
+    # profile reads e(G∧G) = exp(γ₂(H)) off γ₂(H)'s commuting terms
+    covers = []
+
+    def recording_cover(p):
+        covers.append(schur_cover(p))
+        return covers[-1]
+
+    monkeypatch.setattr(verifier, "schur_cover", recording_cover)
+    prof = verifier.profile(pres)
+    assert prof.multiplier.torsion == (5,) * 11
+    assert prof.exterior_exponent == 5 and prof.exterior_skip_reason is None
+    assert "elements" not in vars(covers[0].group.gamma2)
+
+
+def test_classify_reads_a_large_abelian_group_off_its_generators():
+    # C_{3^8} x C_3^2 (order 59,049): g1, ..., g8 a chain of cubes
+    pres = make_presentation(
+        "c6561_x_c3_2", [3] * 10, power_words={i: ((i + 1, 1),) for i in range(7)}
+    )
+    group = PcGroup(pres)
+    flags = group.classify()
+    assert flags.exponent == 6561 and flags.nilpotency_class == 1
+    assert flags.is_regular and flags.is_powerful and flags.central_pn == 0
+    assert group.power_subgroup(3).order == 3**7
+    assert "_words" not in vars(group)
 
 
 def test_quotient_exponent(groups):
