@@ -32,14 +32,11 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Diagonal of the Smith normal form, with optional unimodular transforms.
-
-    With transforms: row_transform * A * col_transform equals the diagonal
-    matrix diag(diagonal) (padded with zeros).
-    """
+    """Diagonal of the Smith normal form, with the optional unimodular column
+    transform Q: P * A * Q equals diag(diagonal) (padded with zeros) for some
+    unimodular P, which is not kept."""
     diagonal: tuple[int, ...]
     rank: int
-    row_transform: Optional[list[list[int]]] = None
     col_transform: Optional[list[list[int]]] = None
 
 
@@ -51,20 +48,15 @@ def snf(
     rows: Sequence[dict[int, int]], ncols: int, want_transforms: bool = False
 ) -> SNFResult:
     """Smith normal form over Z of the matrix with the given sparse rows and
-    ``ncols`` columns, with min-|pivot| selection.
+    ``ncols`` columns, with min-|pivot| selection; ``want_transforms`` also
+    tracks the column transform, the only one a caller reads.
 
     Dense elimination; intended for the small matrices arising from relation
     tails and homology lattice bases (hundreds of rows at most).
     """
     m, n = len(rows), ncols
     D = [[row.get(j, 0) for j in range(n)] for row in rows]
-    P = _identity(m) if want_transforms else None
     Q = _identity(n) if want_transforms else None
-
-    def swap_rows(i1, i2):
-        D[i1], D[i2] = D[i2], D[i1]
-        if P is not None:
-            P[i1], P[i2] = P[i2], P[i1]
 
     def swap_cols(j1, j2):
         for row in D:
@@ -79,11 +71,6 @@ def snf(
         for j in range(n):
             if Dsrc[j]:
                 Ddst[j] += q * Dsrc[j]
-        if P is not None:
-            Psrc, Pdst = P[src], P[dst]
-            for j in range(m):
-                if Psrc[j]:
-                    Pdst[j] += q * Psrc[j]
 
     def add_col(src, dst, q):
         for row in D:
@@ -93,11 +80,6 @@ def snf(
             for row in Q:
                 if row[src]:
                     row[dst] += q * row[src]
-
-    def negate_row(i):
-        D[i] = [-v for v in D[i]]
-        if P is not None:
-            P[i] = [-v for v in P[i]]
 
     t = 0
     size = min(m, n)
@@ -120,11 +102,11 @@ def snf(
             break
         pi, pj = pivot
         if pi != t:
-            swap_rows(pi, t)
+            D[pi], D[t] = D[t], D[pi]
         if pj != t:
             swap_cols(pj, t)
         if D[t][t] < 0:
-            negate_row(t)
+            D[t] = [-v for v in D[t]]
 
         dirty = False
         d = D[t][t]
@@ -163,12 +145,7 @@ def snf(
         t += 1
 
     diagonal = tuple(D[i][i] for i in range(size) if D[i][i])
-    return SNFResult(
-        diagonal=diagonal,
-        rank=len(diagonal),
-        row_transform=P,
-        col_transform=Q,
-    )
+    return SNFResult(diagonal=diagonal, rank=len(diagonal), col_transform=Q)
 
 
 class LatticeBasis:

@@ -8,11 +8,10 @@ M(G) as the torsion of Z^r modulo the tail relations (Hopf's formula; the free
 rank must come out equal to the number of generators).  The oracle is
 the normalized inhomogeneous bar complex, which knows nothing about collection.
 
-One pipeline per group: ``schur_cover`` takes one Smith normal form (with
-transforms) of one tails matrix and reads M(G) from its diagonal and the cover
-presentation from its column transform.  The cover's PcGroup H is built once
-and carried in the ``CoverResult``; its γ₂ serves the stem check and
-``exterior_exponent``.
+One pipeline per group: ``schur_cover`` takes one Smith normal form of one
+tails matrix and reads M(G) from its diagonal and the cover presentation from
+its column transform.  The cover's PcGroup H is built once and carried in the
+``CoverResult``; its γ₂ serves the stem check and ``exterior_exponent``.
 """
 from __future__ import annotations
 

@@ -25,6 +25,7 @@ import itertools
 import math
 import random
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
@@ -227,12 +228,12 @@ class Collector:
         self.comm_tail_index = {pair: self.n + k for k, pair in enumerate(self.pairs)}
 
     def collect(
-        self, letters: Iterable[tuple[int, int]], tails: Optional[list[int]] = None
+        self, letters: Iterable[tuple[int, int]], tails: Optional[list[int] | dict[int, int]] = None
     ) -> NormalWord:
         """Normal form of the given letter sequence.
 
-        ``tails`` (mutable, length ntails), when given, accumulates relation
-        applications.
+        ``tails``, when given, accumulates relation applications by tail index:
+        a list of length ntails or a sparse ``defaultdict(int)``.
         """
         buf: list[list[int]] = []
         self._push(letters, tails, buf)
@@ -319,24 +320,25 @@ def overlap_tests(collector: Collector):
     """Yield (family, indices, lhs, rhs, row) for every overlap test.
 
     The four overlap families; each side collected deterministically into its
-    normal word, with one tail vector accumulated across its staged
+    normal word, with one sparse tail count accumulated across its staged
     collections.  ``row`` is the sparse difference {tail: lhs - rhs} of the
-    two tail vectors: the relation consistency imposes on the tails.
+    two counts: the relation consistency imposes on the tails.
     """
     n = collector.n
     orders = collector.orders
 
     def side(first: Word, before: Word = (), after: Word = ()):
         # collect ``first``, then its normal word between ``before`` and
-        # ``after``, accumulating one tail vector over both collections
-        t = [0] * collector.ntails
+        # ``after``, counting tails over both collections in one sparse map
+        t = defaultdict(int)
         e1 = collector.collect(first, t)
         return collector.collect(before + word_of(e1) + after, t), t
 
     def test(family: str, indices: tuple[int, ...], lhs, rhs):
         (le, lt), (re_, rt) = lhs, rhs
-        row = {k: a - b for k, (a, b) in enumerate(zip(lt, rt)) if a != b}
-        return family, indices, le, re_, row
+        for k, v in rt.items():
+            lt[k] -= v
+        return family, indices, le, re_, {k: v for k, v in lt.items() if v}
 
     for k in range(n):
         for j in range(k):
@@ -383,6 +385,9 @@ class Subgroup:
 
     group: "PcGroup"
     terms: dict[int, NormalWord] = field(default_factory=dict)
+    _exponents: dict[Optional["Subgroup"], int] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @property
     def order(self) -> int:
@@ -425,23 +430,41 @@ class Subgroup:
             members = [group.multiply(x, y) for x in powers for y in members]
         return frozenset(members)
 
-    def exponent(self) -> int:
-        return self._exponent
-
     @cached_property
-    def _exponent(self) -> int:
-        group = self.group
-        terms = list(self.terms.values())
-        commute = all(
-            group.commutator(a, b) == group.identity
+    def _abelian(self) -> bool:
+        """Whether the terms commute pairwise, so that H is abelian."""
+        group, terms = self.group, list(self.terms.values())
+        return all(
+            group.multiply(a, b) == group.multiply(b, a)
             for i, a in enumerate(terms)
             for b in terms[i + 1:]
         )
-        if commute or group._regular_by_class:
-            # abelian, or inside a regular group: regular, so the terms'
-            # orders bound the exponent (see ``PcGroup.exponent``)
-            return math.lcm(*(group._order_modulo(t) for t in terms))
-        return math.lcm(*(group.element_order(w) for w in self.elements))
+
+    def exponent(self, modulo: Optional["Subgroup"] = None) -> int:
+        """The exponent of HN/N, H this subgroup and N the normal subgroup
+        ``modulo`` (trivial when None), once per N.  When H's terms commute,
+        or G is regular by class (``PcGroup._regular_by_class``), HN/N is
+        abelian or regular, so its elements of order at most p^k form a
+        subgroup (P. Hall, Proc. LMS 36, 1934) and the exponent is the lcm
+        of the terms' orders modulo N; otherwise H's elements are swept, G
+        itself over the indices of ``elements()``."""
+        e = self._exponents.get(modulo)
+        if e is not None:
+            return e
+        group = self.group
+        whole = self.order == group.order
+        # commutation first: ``_regular_by_class`` builds the lower central series
+        if self._abelian or group._regular_by_class:
+            e = math.lcm(*(group.element_order(t, modulo) for t in self.terms.values()))
+        elif group._walk_prime is None:
+            words = group.elements() if whole else self.elements
+            e = math.lcm(*(group.element_order(w, modulo) for w in words))
+        else:
+            members = frozenset({group.identity}) if modulo is None else modulo.elements
+            xs = range(group.order) if whole else map(group.position, self.elements)
+            e = group._walk_prime ** max(group.pth_steps(x, members) for x in xs)
+        self._exponents[modulo] = e
+        return e
 
 
 @dataclass(frozen=True)
@@ -473,20 +496,24 @@ class PcGroup:
 
     Subgroups are induced pc sequences built by ``subgroup``, so γ₂, the lower
     central and derived series and the center cost collections, not
-    enumeration.  When the group is abelian or a p-group of class below p
-    (``_regular_by_class``), the exponents, the exponents modulo a normal
-    subgroup and the power subgroups G^k come from the pc generators too;
-    other groups sweep for them.  Each is kept.
+    enumeration.  Every exponent is ``Subgroup.exponent``: exp(HN/N) for a
+    subgroup H and a normal subgroup N, and ``exponent`` asks it of G itself.
+    It reads the terms' orders when they commute or when the group is abelian
+    or a p-group of class below p (``_regular_by_class``), which also gives
+    the power subgroups G^k from the pc generators; otherwise it sweeps H,
+    and G^k comes from the power set.  Each is kept.
 
-    Two index maps serve callers that sweep the whole group.  ``rows`` is the
+    Index maps serve callers that sweep the whole group.  ``rows`` is the
     Cayley table, derived from the columns: y is y' = y − stride[m] times its
     last letter g_m, so row x reads entry y off column m at entry y'.  It
     takes |G|² entries, so only the capped pair sweeps of the law suites and
     the bar oracle ask for it.  In an enumerable p-group, ``pth(x)`` is the
     index of x^p, filled on demand by walking x's letters p − 1 times down
-    the columns; element orders, the swept exponents and the p-th power set
-    walk this map, so x has order p^k when k steps reach the identity.  A
-    presentation whose relative orders mix primes finds orders by powering.
+    the columns.  A swept exponent steps along it from each element until it
+    lands in N (``pth_steps``).  ``power_maps`` composes it into x ↦ x^(p^j)
+    for j up to log_p exp(G), and ``element_orders`` reads x's order off
+    them; ``power_set`` and the law suites read these two tables.
+    ``element_order`` powers, in any presentation.
     """
 
     def __init__(self, pres: PcPresentation):
@@ -499,7 +526,6 @@ class PcGroup:
         # right-multiplication columns, one per generator once it is first used
         self._right: list[Optional[list[int]]] = [None] * pres.ngens
         self._pth: Optional[list[int]] = None
-        self._exponents: dict[Optional[Subgroup], int] = {}
         self._power_sets: dict[int, frozenset[NormalWord]] = {}
         self._power_subgroups: dict[int, Subgroup] = {}
         self._order_prime_factors = sorted(set(pres.relative_orders))
@@ -589,13 +615,7 @@ class PcGroup:
         vu = self.multiply(v, u)
         return self.multiply(uv, self.inverse(vu))
 
-    def element_order(self, u: NormalWord) -> int:
-        p = self._walk_prime
-        if p is not None:
-            return p ** self.pth_steps(self.position(u))
-        return self._order_modulo(u)
-
-    def _order_modulo(self, u: NormalWord, modulo: Optional[Subgroup] = None) -> int:
+    def element_order(self, u: NormalWord, modulo: Optional[Subgroup] = None) -> int:
         """The least k > 0 with u^k in ``modulo`` (the identity when None), by
         powering: up u's p-th powers in a p-group, else down from |G|."""
 
@@ -632,21 +652,31 @@ class PcGroup:
             table[x] = y
         return y
 
-    def pth_steps(self, x: int, members: Optional[frozenset[NormalWord]] = None) -> int:
+    def pth_steps(self, x: int, members: frozenset[NormalWord]) -> int:
         """Steps of the p-th-power map from index x until it reaches
-        ``members`` (the identity when None): x^(p^k) is the first power of
-        x there."""
+        ``members``: x^(p^k) is the first power of x there."""
         k = 0
-        if members is None:
-            while x:
-                x = self.pth(x)
-                k += 1
-        else:
-            words = self._words
-            while words[x] not in members:
-                x = self.pth(x)
-                k += 1
+        while self._words[x] not in members:
+            x = self.pth(x)
+            k += 1
         return k
+
+    @cached_property
+    def power_maps(self) -> list[list[int]]:
+        """In an enumerable p-group, entry j maps each index x to the index of
+        x^(p^j), for j = 0 up to log_p exp(G), where the map is constant at
+        the identity: each map is ``pth`` after the one before."""
+        step = [self.pth(x) for x in range(self.order)]
+        maps = [list(range(self.order))]
+        while any(maps[-1]):
+            maps.append([step[x] for x in maps[-1]])
+        return maps
+
+    @cached_property
+    def element_orders(self) -> list[int]:
+        """Entry x is the order of element x, p^k for the k power maps that do
+        not send x to the identity."""
+        return [self._walk_prime ** sum(map(bool, powers)) for powers in zip(*self.power_maps)]
 
     # -- enumeration and subgroups -------------------------------------------
 
@@ -721,6 +751,10 @@ class PcGroup:
         return sub
 
     def full_subgroup(self) -> Subgroup:
+        return self._full
+
+    @cached_property
+    def _full(self) -> Subgroup:
         return Subgroup(self, dict(enumerate(self.generators())))
 
     # -- characteristic structure ---------------------------------------------
@@ -824,41 +858,19 @@ class PcGroup:
         return sub
 
     def power_set(self, k: int) -> frozenset[NormalWord]:
-        """The bare set {x^k : x in G} (not necessarily a subgroup), built once
-        per k.  In an enumerable p-group x -> x^m permutes G for m prime to
-        p, so the set is {x^(p^j)} for the p-part p^j of k: j steps of the
-        ``pth`` map."""
+        """The bare set {x^k : x in G} of a p-group (not necessarily a
+        subgroup), built once per k.  x -> x^m permutes G for m prime to p,
+        so the set is the image of the power map of the p-part of k."""
         if k not in self._power_sets:
-            words, p = self.elements(), self._walk_prime
-            if p is None:
-                powers = frozenset(self.power(w, k) for w in words)
-            else:
-                xs, m = range(self.order), k
-                while m % p == 0:
-                    xs, m = [self.pth(x) for x in xs], m // p
-                powers = frozenset(words[x] for x in xs)
-            self._power_sets[k] = powers
+            words, maps = self.elements(), self.power_maps
+            j = max(j for j in range(len(maps)) if k % self._walk_prime**j == 0)
+            self._power_sets[k] = frozenset(words[x] for x in maps[j])
         return self._power_sets[k]
 
     def exponent(self, modulo: Optional[Subgroup] = None) -> int:
-        """exp(G), or exp(G/N) for the normal subgroup N = ``modulo``, once per
-        subgroup object.  When ``_regular_by_class`` holds, G/N is regular
-        (or abelian), so its elements of order at most p^k form a subgroup
-        (P. Hall, 1934) and the generators' orders modulo N bound the
-        exponent; otherwise every element is swept."""
-        e = self._exponents.get(modulo)
-        if e is not None:
-            return e
-        p = self._walk_prime
-        if self._regular_by_class:
-            e = math.lcm(*(self._order_modulo(g, modulo) for g in self.generators()))
-        elif p is not None:
-            members = None if modulo is None else modulo.elements
-            e = p ** max(self.pth_steps(x, members) for x in range(self.order))
-        else:
-            e = math.lcm(*(self._order_modulo(w, modulo) for w in self.elements()))
-        self._exponents[modulo] = e
-        return e
+        """exp(G), or exp(G/N) for the normal subgroup N = ``modulo``: the
+        whole group's ``Subgroup.exponent``."""
+        return self.full_subgroup().exponent(modulo)
 
     def abelianization_invariants(self) -> tuple[int, ...]:
         """Invariants of G/γ₂(G), from the abelianized relation lattice."""

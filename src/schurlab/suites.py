@@ -8,10 +8,10 @@ quantifies; L3.1 and L3.6 share one sweep over the pairs (a, b) with
 [b, a^(p^n)] = 1.  A failure carries an explicit counterexample.
 
 The pair sweeps run on element indices: products are reads of the group's
-Cayley table ``rows``, inverses of ``inverses``, and a^(p^n) of lists built
-by n steps of the p-th-power map ``pth``, so a commutator is four list reads
-and [b, x] = 1 is the two-read test b·x = x·b.  Elements are named as words
-only in counterexamples.
+Cayley table ``rows``, inverses of ``inverses``, a^(p^n) of the power map
+``power_maps[n]`` and orders of ``element_orders``, each built once per
+group, so a commutator is four list reads and [b, x] = 1 is the two-read
+test b·x = x·b.  Elements are named as words only in counterexamples.
 """
 from __future__ import annotations
 
@@ -38,40 +38,20 @@ class SuiteReport:
 Outcome = tuple[str, Optional[str]]
 
 
-def _pn_range(group: PcGroup) -> list[int]:
-    """Exponents n with p^n <= e(G); larger n repeat the p^e(G) case."""
-    p = group.pres.prime
-    e = group.exponent()
-    ns = []
-    q = p
-    n = 1
-    while q <= e:
-        ns.append(n)
-        q *= p
-        n += 1
-    return ns
-
-
-def _power_lists(group: PcGroup) -> dict[int, list[int]]:
-    """n -> [index of x^(p^n) for every index x], n steps of ``pth``, for
-    each n in _pn_range in order."""
-    step = [group.pth(x) for x in range(group.order)]
-    lists = {}
-    current = range(group.order)
-    for n in _pn_range(group):
-        current = [step[x] for x in current]
-        lists[n] = current
-    return lists
+def _powers(group: PcGroup) -> list[tuple[int, list[int]]]:
+    """(n, power) for n = 1 up to log_p exp(G), larger n repeating the last
+    case; power[x] is the index of x^(p^n) (``PcGroup.power_maps``)."""
+    return list(enumerate(group.power_maps))[1:]
 
 
 def _centralizing(group: PcGroup) -> Iterator[tuple[int, int, int, list[int]]]:
-    """(a, b, n, power) for each index a, each n in _pn_range and each index
+    """(a, b, n, power) for each index a, each n of ``_powers`` and each index
     b with [b, a^q] = 1, q = p^n, in that order; power[x] is the index of
     x^q."""
     rows = group.rows
-    pows = _power_lists(group)
+    pows = _powers(group)
     for a in range(group.order):
-        for n, power in pows.items():
+        for n, power in pows:
             aq = power[a]
             row_aq = rows[aq]
             for b in range(group.order):
@@ -110,14 +90,13 @@ def check_regular_power_laws(group: PcGroup, flags: GroupFlags) -> Outcome:
     (iv)  a^{p^n} = b^{p^n} iff (a b^{-1})^{p^n} = 1.
     """
     rows, inv = group.rows, group.inverses
-    elems = group.elements()
-    pows = _power_lists(group)
-    orders = [group.element_order(w) for w in elems]
+    elems, orders = group.elements(), group.element_orders
+    pows = _powers(group)
     checked = 0
     for a, row_a in enumerate(rows):
         for b in range(group.order):
             comm = _commutator(rows, inv, b, a)
-            for n, power in pows.items():
+            for n, power in pows:
                 bad = _equivalence_counterexample(group, power, a, b, comm, n)
                 if bad is not None:
                     return "part (i) equivalence failed", bad
@@ -150,12 +129,12 @@ def check_class_p_commutator_equivalence(group: PcGroup, flags: GroupFlags) -> O
     [b,a]^{p^n} = 1, [b,a^{p^n}] = 1, [b^{p^n},a] = 1 are pairwise equivalent.
     """
     rows, inv = group.rows, group.inverses
-    pows = _power_lists(group)
+    pows = _powers(group)
     checked = 0
     for a in range(group.order):
         for b in range(group.order):
             comm = _commutator(rows, inv, b, a)
-            for n, power in pows.items():
+            for n, power in pows:
                 bad = _equivalence_counterexample(group, power, a, b, comm, n)
                 if bad is not None:
                     return "equivalence failed", bad
@@ -170,10 +149,9 @@ def check_commutator_order_bound(group: PcGroup, flags: GroupFlags) -> Outcome:
     """
     p = group.pres.prime
     rows, inv = group.rows, group.inverses
-    elems = group.elements()
+    elems, orders = group.elements(), group.element_orders
     center = group.center().elements
     gens = [group.position(g) for g in group.generators()]
-    orders = [group.element_order(w) for w in elems]
     checked = 0
     for a in range(group.order):
         bound = p ** group.pth_steps(a, center)
@@ -215,9 +193,9 @@ def check_three_group_congruence(group: PcGroup, flags: GroupFlags) -> Outcome:
     rows, inv, elems = group.rows, group.inverses, group.elements()
     # n -> [index of x^C(3^n, 3)]; x has 3-power order, so C(3^n, 3) is
     # reduced modulo it and walked down x's row
-    orders = [group.element_order(w) for w in elems]
+    orders = group.element_orders
     binomial_pows = {}
-    for n in _pn_range(group):
+    for n, _ in _powers(group):
         k = math.comb(3**n, 3)
         powers = []
         for x, row in enumerate(rows):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +46,27 @@ def test_snf_known():
     assert result.diagonal == (2, 2, 156)
 
 
+def _det(matrix):
+    """Exact determinant by elimination over the rationals."""
+    m = [[Fraction(v) for v in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return det
+
+
 def test_snf_divisibility_and_transforms():
+    """Q is unimodular and A·Q has the row lattice of diag(D): then P·A·Q = D
+    for a unimodular P, which ``snf`` does not build."""
     rng = random.Random(7)
     for _ in range(40):
         rows = rng.randint(1, 5)
@@ -55,8 +76,14 @@ def test_snf_divisibility_and_transforms():
         for a, b in zip(result.diagonal, result.diagonal[1:]):
             assert b % a == 0
         assert all(d > 0 for d in result.diagonal)
-        lhs = _matmul(_matmul(result.row_transform, dense), result.col_transform)
-        assert lhs == _dense(result, rows, cols)
+        assert abs(_det(result.col_transform)) == 1
+        aq = _rows(_matmul(dense, result.col_transform))
+        diag = _rows(_dense(result, rows, cols))
+        for spanning, spanned in ((aq, diag), (diag, aq)):
+            basis = LatticeBasis(cols)
+            for v in spanning:
+                basis.add(v)
+            assert all(basis.contains(v) for v in spanned), dense
 
 
 def test_snf_matches_sympy():

@@ -289,3 +289,12 @@ def test_method_both_agrees_on_small_groups(bundled):
 def test_unknown_method(bundled):
     with pytest.raises(MultiplierError):
         schur_multiplier(bundled["cyclic_2"].presentation, method="magic")
+
+
+def test_exterior_exponent_builds_no_cover_series(bundled):
+    # γ₂(H) of this cover is abelian, so its exponent is read off its terms
+    # before the cover's class (and its lower central series) is asked for
+    pres = bundled["heisenberg_3_x_c3"].presentation
+    cover = schur_cover(pres)
+    assert exterior_exponent(pres, cover) == 3
+    assert "_lower_central" not in vars(cover.group)

@@ -148,21 +148,26 @@ def _squaring_order(group, u):
     return q
 
 
-def test_element_orders_walk_the_pth_map(bundled):
+def test_element_orders_and_power_maps_match_squaring(bundled):
     cover = schur_cover(bundled["heisenberg_3_x_c3"].presentation).group
     for group in [PcGroup(e.presentation) for e in bundled.values()] + [cover]:
-        orders = [group.element_order(u) for u in group.elements()]
-        assert orders == [_squaring_order(group, u) for u in group.elements()], group.pres.name
+        name, elems, p = group.pres.name, group.elements(), group.pres.prime
+        orders = [_squaring_order(group, u) for u in elems]
+        assert group.element_orders == orders, name
+        assert [group.element_order(u) for u in elems] == orders, name
         assert group.exponent() == max(orders)
+        maps = group.power_maps
+        assert p ** (len(maps) - 1) == max(orders), name  # j = 0 .. log_p exp(G)
+        for j, power in enumerate(maps):
+            assert [elems[y] for y in power] == [group.power(u, p**j) for u in elems], (name, j)
         center = group.center()
-        p = group.pres.relative_orders[0]
         modulo_center = []
-        for u in group.elements():
+        for u in elems:
             q = 1
             while group.power(u, q) not in center:
                 q *= p
             modulo_center.append(q)
-        assert group.exponent(modulo=center) == max(modulo_center), group.pres.name
+        assert group.exponent(modulo=center) == max(modulo_center), name
 
 
 def _sweep_cases(bundled):
@@ -200,6 +205,11 @@ def test_center_exponents_and_power_subgroups_match_sweeps(bundled, sweeps):
             subgroups.append(power)
         for sub in subgroups:
             assert sub.exponent() == sweeps.exponent(group, over=sub.elements), name
+        # exp(HN/N), read after exp(H), so a cache that ignores N shows
+        for sub in [group.gamma2] + ([] if p is None else [group.power_subgroup(p)]):
+            for normal in (center, group.gamma(3)):
+                expected = sweeps.exponent(group, over=sub.elements, modulo=normal.elements)
+                assert sub.exponent(modulo=normal) == expected, name
 
 
 def test_mixed_prime_orders_by_powering():
@@ -318,6 +328,16 @@ def test_classify_flags(groups):
     assert wreath.is_regular is False
     assert wreath.exponent == 9
     assert wreath.derived_length == 2
+
+    # wreath_c3_c3 x C_3: odd p, class 3 >= p and order 243 > 81, so no
+    # exact criterion applies and is_regular samples pairs
+    pres = groups("wreath_c3_c3").pres
+    sampled = PcGroup(make_presentation(
+        "wreath_c3_c3_x_c3", [3] * 5,
+        power_words=dict(enumerate(pres.power_words)), comm_words=dict(pres.comm_words),
+    ))
+    assert sampled.order == 243 and sampled.nilpotency_class() == 3
+    assert sampled.is_regular() is False
 
 
 def test_center_contains_last_gamma(groups):
