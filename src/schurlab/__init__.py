@@ -1,7 +1,7 @@
 """schurlab: exact-arithmetic workbench for exponent bounds on Schur
 multipliers, covers, and exterior squares of finite p-groups."""
 
-from .bounds import BoundsRow, bounds, emit_tables
+from .bounds import emit_tables
 from .catalog import CatalogEntry, CatalogError, import_file, load_bundled
 from .identities import LEMMA_IDS, alpha, er_chain, verify_collection_lemma
 from .multiplier import (
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelianInvariants",
-    "BoundsRow",
     "CatalogEntry",
     "CatalogError",
     "CoverResult",
@@ -57,7 +56,6 @@ __all__ = [
     "SuiteReport",
     "alpha",
     "bar_homology",
-    "bounds",
     "check_consistency",
     "emit_tables",
     "er_chain",

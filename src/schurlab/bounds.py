@@ -8,9 +8,6 @@ various published bounds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 
 class BoundsError(ValueError):
     pass
@@ -86,55 +83,6 @@ def thm73_bound(d: int, exponent_odd: bool) -> tuple[int, int]:
     if d < 1:
         raise BoundsError("derived length must be positive")
     return (0 if exponent_odd else d - 1, d)
-
-
-@dataclass(frozen=True)
-class BoundsRow:
-    c: int
-    p: Optional[int] = None
-    d: Optional[int] = None
-    exponent_odd: bool = True
-
-    @property
-    def ellis(self) -> int:
-        return ellis_bound(self.c)
-
-    @property
-    def moravec(self) -> int:
-        return moravec_bound(self.c)
-
-    @property
-    def thm61(self) -> int:
-        return thm61_bound(self.c)
-
-    @property
-    def sambonet(self) -> int:
-        if self.p is None:
-            raise BoundsError("sambonet bound needs a prime")
-        return sambonet_bound(self.c, self.p)
-
-    @property
-    def thm65(self) -> int:
-        if self.p is None:
-            raise BoundsError("thm65 bound needs a prime")
-        return thm65_bound(self.c, self.p)
-
-    @property
-    def thm73(self) -> Optional[tuple[int, int]]:
-        if self.d is None:
-            return None
-        return thm73_bound(self.d, self.exponent_odd)
-
-
-def bounds(
-    c: int,
-    p: Optional[int] = None,
-    d: Optional[int] = None,
-    exponent_odd: bool = True,
-) -> BoundsRow:
-    if c <= 1:
-        raise BoundsError("class must exceed 1")
-    return BoundsRow(c=c, p=p, d=d, exponent_odd=exponent_odd)
 
 
 TABLE_I_CLASSES = (3, 4, 5, 6, 17, 53, 161)

@@ -6,12 +6,13 @@ Syntax examples:
     [_2 a, b]                  shorthand: two copies of a, then b
     [[b,a],a,b,a]^(6C(n,3)+18C(n,4)+12C(n,5))
 
-Brackets are right-normed, [x,y,z] = [x,[y,z]], and a bracket of two elements
-evaluates with conjugation on the left: [g,h] = g h g^{-1} h^{-1}.
-Exponents are integer combinations of 1, n, and C(n,t).
+Brackets are right-normed: the parser nests [x,y,z] as [x,[y,z]], so every
+bracket node has two sides, and [g,h] = g h g^{-1} h^{-1} (conjugation on the
+left).  Exponents are integer combinations of 1, n, and C(n,t).
 
-``Expr.fold`` evaluates every subtree that does not depend on n once, so that
-a tree checked for many n rebuilds none of its letters and brackets.
+``Expr.evaluate`` with a memo computes each distinct subtree that does not
+use n once: a tree checked for many n, or several trees sharing brackets
+such as [b,a] inside [a,b,a] and [b,b,a], build each such commutator once.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .freenil import FreenilError, TruncatedSeries, right_normed
+from .freenil import FreenilError, TruncatedSeries, group_commutator
 
 
 class ExprError(FreenilError):
@@ -67,45 +68,42 @@ class ExpPoly:
 
 
 class Expr:
+    """A commutator expression; each node type defines ``_value``."""
+
+    uses_n: bool  # whether the value depends on n, fixed when the node is made
+
     def evaluate(
-        self, binding: dict[str, TruncatedSeries], n: Optional[int] = None
+        self,
+        binding: dict[str, TruncatedSeries],
+        n: Optional[int] = None,
+        memo: Optional[dict["Expr", TruncatedSeries]] = None,
     ) -> TruncatedSeries:
+        """The value of this tree under ``binding`` at ``n``.  With ``memo``,
+        each subtree that does not use n is computed once and kept in it,
+        keyed by the subtree itself, so equal subtrees share one entry across
+        calls and across n.  A memo belongs to one binding: pass the same
+        dict only with the binding that filled it."""
+        if memo is None or self.uses_n:
+            return self._value(binding, n, memo)
+        value = memo.get(self)
+        if value is None:
+            value = memo[self] = self._value(binding, n, memo)
+        return value
+
+    def _value(self, binding, n, memo) -> TruncatedSeries:
         raise NotImplementedError
-
-    def fold(self, binding: dict[str, TruncatedSeries]) -> "Expr":
-        """This tree with every subtree free of n (letters, brackets and
-        products of those, powers with a constant exponent) replaced by one
-        ``Constant`` holding its value under ``binding``; adjacent constant
-        factors of a product become one.  ``e.fold(b).evaluate(b, n)`` equals
-        ``e.evaluate(b, n)`` for every n."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Constant(Expr):
-    """A subtree already evaluated by ``Expr.fold``."""
-
-    value: TruncatedSeries
-
-    def evaluate(self, binding, n=None):
-        return self.value
-
-    def fold(self, binding):
-        return self
 
 
 @dataclass(frozen=True)
 class Letter(Expr):
     name: str
+    uses_n = False
 
-    def evaluate(self, binding, n=None):
+    def _value(self, binding, n, memo):
         try:
             return binding[self.name]
         except KeyError:
             raise ExprError(f"unbound letter {self.name!r}") from None
-
-    def fold(self, binding):
-        return Constant(self.evaluate(binding))
 
     def __str__(self):
         return self.name
@@ -113,21 +111,26 @@ class Letter(Expr):
 
 @dataclass(frozen=True)
 class Bracket(Expr):
-    items: tuple[Expr, ...]
+    """[left, right] = left right left^{-1} right^{-1}."""
 
-    def evaluate(self, binding, n=None):
-        if len(self.items) < 2:
-            raise ExprError("bracket needs at least two items")
-        return right_normed([item.evaluate(binding, n) for item in self.items])
+    left: Expr
+    right: Expr
 
-    def fold(self, binding):
-        folded = Bracket(tuple(item.fold(binding) for item in self.items))
-        if all(isinstance(item, Constant) for item in folded.items):
-            return Constant(folded.evaluate(binding))
-        return folded
+    def __post_init__(self):
+        object.__setattr__(self, "uses_n", self.left.uses_n or self.right.uses_n)
+
+    def _value(self, binding, n, memo):
+        return group_commutator(
+            self.left.evaluate(binding, n, memo), self.right.evaluate(binding, n, memo)
+        )
 
     def __str__(self):
-        return "[" + ",".join(str(i) for i in self.items) + "]"
+        # print the right-normed chain [x, [y, z]] as [x,y,z]
+        items, node = [], self
+        while isinstance(node, Bracket):
+            items.append(node.left)
+            node = node.right
+        return "[" + ",".join(map(str, [*items, node])) + "]"
 
 
 @dataclass(frozen=True)
@@ -135,14 +138,13 @@ class Power(Expr):
     base: Expr
     exponent: ExpPoly
 
-    def evaluate(self, binding, n=None):
-        return self.base.evaluate(binding, n).power(self.exponent.evaluate(n))
+    def __post_init__(self):
+        object.__setattr__(
+            self, "uses_n", self.base.uses_n or not self.exponent.is_constant
+        )
 
-    def fold(self, binding):
-        folded = Power(self.base.fold(binding), self.exponent)
-        if isinstance(folded.base, Constant) and self.exponent.is_constant:
-            return Constant(folded.evaluate(binding))
-        return folded
+    def _value(self, binding, n, memo):
+        return self.base.evaluate(binding, n, memo).power(self.exponent.evaluate(n))
 
     def __str__(self):
         base = str(self.base)
@@ -155,22 +157,16 @@ class Power(Expr):
 class Product(Expr):
     factors: tuple[Expr, ...]
 
-    def evaluate(self, binding, n=None):
+    def __post_init__(self):
         if not self.factors:
             raise ExprError("empty product")
-        acc = self.factors[0].evaluate(binding, n)
-        for f in self.factors[1:]:
-            acc = acc * f.evaluate(binding, n)
-        return acc
+        object.__setattr__(self, "uses_n", any(f.uses_n for f in self.factors))
 
-    def fold(self, binding):
-        factors: list[Expr] = []
-        for f in self.factors:
-            f = f.fold(binding)
-            if factors and isinstance(f, Constant) and isinstance(factors[-1], Constant):
-                f = Constant(factors.pop().value * f.value)
-            factors.append(f)
-        return factors[0] if len(factors) == 1 else Product(tuple(factors))
+    def _value(self, binding, n, memo):
+        acc = self.factors[0].evaluate(binding, n, memo)
+        for f in self.factors[1:]:
+            acc = acc * f.evaluate(binding, n, memo)
+        return acc
 
     def __str__(self):
         return " ".join(
@@ -245,7 +241,10 @@ class _Parser:
                     raise ExprError(f"expected ',' or ']' in bracket, got {tok2!r}")
             if len(items) < 2:
                 raise ExprError("bracket needs at least two items")
-            return Bracket(tuple(items))
+            expr = items.pop()
+            while items:
+                expr = Bracket(items.pop(), expr)
+            return expr
         if tok.isidentifier() and tok != "n":
             return Letter(tok)
         raise ExprError(f"unexpected token {tok!r}")

@@ -214,14 +214,6 @@ def _unpack(v: int, d: int, k: int) -> list[int]:
     return digits[::-1]
 
 
-def magnus(word: Sequence[tuple[int, int]], k: int, c: int) -> TruncatedSeries:
-    """Image of a free-group word (letter, exponent)* under the Magnus map."""
-    s = TruncatedSeries.one(k, c)
-    for letter, e in word:
-        s = s * TruncatedSeries.generator(k, c, letter).power(e)
-    return s
-
-
 def group_commutator(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
     """[u, v] = u v u^{-1} v^{-1}."""
     return u * v * u.inverse() * v.inverse()
@@ -250,32 +242,6 @@ class BasicCommutator:
         if self.letter is not None:
             return chr(ord("a") + self.letter)
         return f"[{self.left},{self.right}]"
-
-
-def _mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    result = 1
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            n //= f
-            if n % f == 0:
-                return 0
-            result = -result
-        f += 1
-    if n > 1:
-        result = -result
-    return result
-
-
-def witt_number(k: int, w: int) -> int:
-    total = 0
-    for d in range(1, w + 1):
-        if w % d == 0:
-            total += _mobius(d) * k ** (w // d)
-    assert total % w == 0
-    return total // w
 
 
 class HallBasis:
@@ -469,14 +435,14 @@ def verify_identity(
     binding: Optional[dict[str, TruncatedSeries]] = None,
 ) -> IdentityReport:
     """Evaluate both commutator expressions in the free class-c group on k
-    letters for each n and compare the series exactly.  The parts free of n
-    are evaluated once (``Expr.fold``), before the loop over n."""
+    letters for each n and compare the series exactly.  One memo serves both
+    sides and every n, so each subtree free of n is evaluated once."""
     if binding is None:
         binding = default_binding(k, c)
-    lhs, rhs = lhs.fold(binding), rhs.fold(binding)
+    memo: dict = {}
     for n in n_range:
-        left = lhs.evaluate(binding, n)
-        right = rhs.evaluate(binding, n)
+        left = lhs.evaluate(binding, n, memo)
+        right = rhs.evaluate(binding, n, memo)
         if left != right:
             return IdentityReport(
                 passed=False,

@@ -228,8 +228,9 @@ L41_FACTORS = (
 def _l41_layers() -> tuple[tuple[int, tuple[TruncatedSeries, ...]], ...]:
     """Factor layers of the class-5 collection product, ascending weight."""
     binding = freenil.default_binding(2, 5)
+    memo: dict = {}
     return tuple(
-        (w, tuple(parse_expr(name).evaluate(binding) for name in names))
+        (w, tuple(parse_expr(name).evaluate(binding, memo=memo) for name in names))
         for w, names in enumerate(L41_FACTORS, start=1)
     )
 

@@ -489,7 +489,7 @@ class PcGroup:
     compute by index tables (Leedham-Green–Soicher, "Collection from the left
     and other strategies", JSC 9, 1990): each pc generator g has a
     right-multiplication column, entry x the index of x·g, filled on demand by
-    one single-letter collection.  Every product u·v is one walk of u's index
+    collecting x's whole normal word followed by g.  Every product u·v is one walk of u's index
     down the columns of v's letters, at most n(p−1) lookups; an inverse walks
     u down to the identity and a power squares repeatedly.  No product is
     memoized.  Until then products collect word by word.

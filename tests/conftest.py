@@ -12,7 +12,9 @@ from functools import lru_cache
 
 import pytest
 
+from schurlab import commexpr
 from schurlab.catalog import load_bundled
+from schurlab.freenil import group_commutator
 from schurlab.identities import verify_collection_lemma
 from schurlab.pcgroup import group_of
 from schurlab.verifier import RunConfig, run
@@ -105,6 +107,19 @@ def sweeps():
 @pytest.fixture(scope="session")
 def check_lemma():
     return lemma_result
+
+
+@pytest.fixture
+def commutators_built(monkeypatch):
+    """The (u, v) of each group commutator ``commexpr`` builds from here on."""
+    built = []
+
+    def counting(u, v):
+        built.append((u, v))
+        return group_commutator(u, v)
+
+    monkeypatch.setattr(commexpr, "group_commutator", counting)
+    return built
 
 
 @pytest.fixture(scope="session")

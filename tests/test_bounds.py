@@ -2,7 +2,6 @@ import pytest
 
 from schurlab.bounds import (
     BoundsError,
-    bounds,
     ceil_log_ratio,
     ellis_bound,
     emit_tables,
@@ -73,17 +72,9 @@ def test_bound_domains():
         thm65_bound(2, 3)  # requires c >= p
     with pytest.raises(BoundsError):
         sambonet_bound(5, 2)  # needs odd prime
+    assert thm73_bound(2, exponent_odd=True) == (0, 2)
     assert thm73_bound(3, exponent_odd=True) == (0, 3)
     assert thm73_bound(3, exponent_odd=False) == (2, 3)
-
-
-def test_bounds_row():
-    row = bounds(5, p=3, d=2, exponent_odd=True)
-    assert (row.ellis, row.moravec, row.thm61) == (3, 4, 1)
-    assert row.sambonet == 3 and row.thm65 == 2
-    assert row.thm73 == (0, 2)
-    with pytest.raises(BoundsError):
-        bounds(1)
 
 
 def test_emit_tables_mentions_discrepancies():

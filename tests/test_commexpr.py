@@ -2,7 +2,6 @@ import pytest
 
 from schurlab.commexpr import (
     Bracket,
-    Constant,
     ExpPoly,
     ExprError,
     Letter,
@@ -107,29 +106,41 @@ EXAMPLES = (
     ],
 )
 def test_fold_keeps_every_value(text, c):
+    """Memoised evaluation, which folds each n-free subtree into one memo
+    entry, equals plain evaluation; one memo serves every n."""
     binding = bind(c=c)
     expr = parse_expr(text)
-    folded = expr.fold(binding)
+    memo = {}
     for n in range(26):
-        assert folded.evaluate(binding, n) == expr.evaluate(binding, n)
+        assert expr.evaluate(binding, n, memo) == expr.evaluate(binding, n)
 
 
-def test_fold_replaces_n_free_subtrees():
-    binding = bind()
-    a, b = binding["a"], binding["b"]
-    assert parse_expr("[b,a]^2 a b").fold(binding) == Constant(
-        group_commutator(b, a).power(2) * a * b
-    )
-    assert parse_expr("(a b)^n").fold(binding) == Power(Constant(a * b), ExpPoly.binomial(1))
-    folded = parse_expr("b a [b,a]^n a^2 [a,b]").fold(binding)
-    assert isinstance(folded, Product)
-    assert [type(f) for f in folded.factors] == [Constant, Power, Constant]
-    assert folded.factors[2].value == a.power(2) * group_commutator(a, b)
+def test_brackets_nest_to_the_right():
+    a, b = Letter("a"), Letter("b")
+    ba = Bracket(b, a)
+    assert parse_expr("[a,b,b,a]") == Bracket(a, Bracket(b, Bracket(b, a)))
+    assert parse_expr("[[b,a],a,b,a]") == Bracket(ba, Bracket(a, ba))
+    assert not ba.uses_n and parse_expr("[b, a^n]").uses_n
+
+
+def test_memo_builds_each_commutator_once(commutators_built):
+    binding, memo = bind(c=5), {}
+    expr = parse_expr(L41_I_RHS)
+    for n in range(1, 6):
+        expr.evaluate(binding, n, memo)
+    # [b,a], then the 5 of weight 3 and 4 and the 6 of weight 5, each once
+    assert len(commutators_built) == 12
+    assert sum(isinstance(key, Bracket) for key in memo) == 12
 
 
 def test_folded_formal_exponent_still_needs_n():
+    """A memo holds only n-free subtrees: a formal exponent still needs n,
+    also after the memo was filled at some n."""
     binding = bind()
     for text in ("a^n", "(a b)^n", "[b, a^n]", "[b,a]^2 a^C(n,2) b"):
-        folded = parse_expr(text).fold(binding)
+        expr, memo = parse_expr(text), {}
+        expr.evaluate(binding, 3, memo)
         with pytest.raises(ExprError):
-            folded.evaluate(binding, n=None)
+            expr.evaluate(binding, None, memo)
+        with pytest.raises(ExprError):
+            expr.evaluate(binding, None, {})

@@ -11,11 +11,9 @@ from schurlab.freenil import (
     expansion_exponents,
     fit_binomial,
     group_commutator,
-    magnus,
     normal_form,
     product_of_basics,
     verify_identity,
-    witt_number,
 )
 
 
@@ -29,21 +27,11 @@ def test_series_group_laws():
     assert (a * b).inverse() == b.inverse() * a.inverse()
 
 
-def test_magnus_word():
-    a = TruncatedSeries.generator(2, 3, 0)
-    b = TruncatedSeries.generator(2, 3, 1)
-    assert magnus([(0, 2), (1, -1)], 2, 3) == a * a * b.inverse()
-
-
 def test_commutator_convention_left_conjugation():
     # [g,h] = g h g^{-1} h^{-1}
     a = TruncatedSeries.generator(2, 4, 0)
     b = TruncatedSeries.generator(2, 4, 1)
     assert group_commutator(a, b) == a * b * a.inverse() * b.inverse()
-
-
-def test_witt_numbers():
-    assert [witt_number(2, w) for w in range(1, 7)] == [2, 1, 2, 3, 6, 9]
 
 
 def test_hall_basis_counts():

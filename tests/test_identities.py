@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schurlab import identities
 from schurlab.identities import (
     LEMMA_IDS,
     IdentityError,
@@ -122,6 +123,13 @@ def test_collection_exponents_class5_known():
         poly = fit_binomial(lambda n, nm=name: collection_exponents_class5(n)[nm], 5)
         exps[name] = poly.as_dict()
     assert exps["[[b,a],a,b,a]"] == {3: 6, 4: 18, 5: 12}
+
+
+def test_l41_layers_build_each_commutator_once(commutators_built):
+    identities._l41_layers.cache_clear()
+    layers = identities._l41_layers()
+    assert [len(factors) for _, factors in layers] == [2, 1, 2, 3, 6]
+    assert len(commutators_built) == 12  # one per factor of weight >= 2
 
 
 def test_all_collection_lemmas_pass(check_lemma):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -15,6 +16,7 @@ from schurlab.pcgroup import (
     InconsistentPresentation,
     PcError,
     PcGroup,
+    _nullspace_mod,
     check_consistency,
     group_of,
     make_presentation,
@@ -346,6 +348,31 @@ def test_center_contains_last_gamma(groups):
         lcs = group.lower_central_series()
         last = lcs[-2]  # γ_c, the last nontrivial term
         assert last.elements <= group.center().elements
+
+
+def test_nullspace_mod_is_an_echelon_basis():
+    """``_center`` builds Z(G) from this basis, so check it against the
+    nullspace found by enumerating F_q^r, on seeded random matrices with
+    r <= 5 rows and at most 4 columns."""
+    rng = random.Random(19)
+    for q in (2, 3, 5):
+        for _ in range(120):
+            r, width = rng.randint(1, 5), rng.randint(1, 4)
+            rows = [[rng.randrange(-q, 2 * q) for _ in range(width)] for _ in range(r)]
+
+            def in_null(c):
+                return all(
+                    sum(ci * row[j] for ci, row in zip(c, rows)) % q == 0
+                    for j in range(width)
+                )
+
+            basis = _nullspace_mod(rows, q)
+            assert all(len(c) == r and in_null(c) for c in basis), rows
+            leads = [next(i for i, x in enumerate(c) if x) for c in basis]
+            assert len(set(leads)) == len(leads), rows
+            assert all(c[i] == 1 for c, i in zip(basis, leads)), rows
+            size = sum(map(in_null, itertools.product(range(q), repeat=r)))
+            assert q ** len(basis) == size, rows
 
 
 def _normal_closure(group, gens, conjugators, closure):
