@@ -7,9 +7,10 @@ orders o_i, and relations
     g_j g_i = g_i g_j w_ji     (j > i; w_ji over indices > j; absent = trivial)
 
 Elements are normal words: exponent tuples (e_1..e_n) with 0 <= e_i < o_i.
-Arithmetic is collection-from-the-left.  The collector counts one central
-integer "tail" per relation when asked to; that powers the Schur-multiplier
-computation in the multiplier module.
+Words are collected from the left.  The collector counts one central integer
+"tail" per relation when asked to; that powers the Schur-multiplier
+computation in the multiplier module.  A listed group multiplies by index
+tables read off the relations, with no collection (see ``PcGroup``).
 
 A ``PcPresentation`` is valid by construction: it checks its own orders,
 declared prime and relation words once, when it is made, and a failure names
@@ -28,17 +29,21 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 Word = tuple[tuple[int, int], ...]       # ((generator, exponent), ...), 0-based
 NormalWord = tuple[int, ...]
 
 DEFAULT_CAP = 200_000
-# Listing G for the index tables costs about half a microsecond an element; a
-# product walked down the tables saves several microseconds of collection.
+# Listing G and building its n right-multiplication columns cost about
+# 1-1.5 microseconds an element (2-core Xeon, Python 3.11: 0.3-0.7 to list,
+# 70-330 ns a column entry); a product walked down the columns takes 2-8
+# microseconds, where collecting a random pair of normal words takes 20-170.
 # Up to this order the few thousand products of ``classify`` repay the list,
 # so a group lists itself at its first product; a larger one collects until
-# something sweeps it.
+# something sweeps it.  At 65,536 the record of abelian_3_3_3_3 would list
+# its cover of order 3^10 and take 0.07 s instead of 0.013 s.
 TABLE_ORDER = 4096
 
 
@@ -488,11 +493,13 @@ class PcGroup:
     most ``TABLE_ORDER``, and from that list on in a larger group, products
     compute by index tables (Leedham-Green–Soicher, "Collection from the left
     and other strategies", JSC 9, 1990): each pc generator g has a
-    right-multiplication column, entry x the index of x·g, filled on demand by
-    collecting x's whole normal word followed by g.  Every product u·v is one walk of u's index
-    down the columns of v's letters, at most n(p−1) lookups; an inverse walks
-    u down to the identity and a power squares repeatedly.  No product is
-    memoized.  Until then products collect word by word.
+    right-multiplication column, entry x the index of x·g.  The columns are
+    built whole, from the last generator up, out of the conjugation action
+    and the power words of the presentation, with no collection (see
+    ``_columns``).  Every product u·v is one walk of u's index down the
+    columns of v's letters, at most n(p−1) lookups; an inverse walks u down
+    to the identity and a power squares repeatedly.  No product is memoized.
+    Until then products collect word by word.
 
     Subgroups are induced pc sequences built by ``subgroup``, so γ₂, the lower
     central and derived series and the center cost collections, not
@@ -505,7 +512,8 @@ class PcGroup:
 
     Index maps serve callers that sweep the whole group.  ``rows`` is the
     Cayley table, derived from the columns: y is y' = y − stride[m] times its
-    last letter g_m, so row x reads entry y off column m at entry y'.  It
+    last letter g_m (read off one table that the columns share), so row x
+    reads entry y off column m at entry y'.  It
     takes |G|² entries, so only the capped pair sweeps of the law suites and
     the bar oracle ask for it.  In an enumerable p-group, ``pth(x)`` is the
     index of x^p, filled on demand by walking x's letters p − 1 times down
@@ -523,8 +531,6 @@ class PcGroup:
         self.identity: NormalWord = (0,) * pres.ngens
         # whether products walk the index tables (see ``TABLE_ORDER``)
         self._tabled = pres.order <= TABLE_ORDER
-        # right-multiplication columns, one per generator once it is first used
-        self._right: list[Optional[list[int]]] = [None] * pres.ngens
         self._pth: Optional[list[int]] = None
         self._power_sets: dict[int, frozenset[NormalWord]] = {}
         self._power_subgroups: dict[int, Subgroup] = {}
@@ -570,15 +576,9 @@ class PcGroup:
 
     def _step(self, x: int, g: int, e: int) -> int:
         """Index of (element x)·g^e, e steps down column g."""
-        col = self._right[g]
-        if col is None:
-            col = self._right[g] = [-1] * self.order
+        col = self._columns[g]
         for _ in range(e):
-            y = col[x]
-            if y < 0:
-                y = self._index[self.normalize(word_of(self._words[x]) + ((g, 1),))]
-                col[x] = y
-            x = y
+            x = col[x]
         return x
 
     def inverse(self, u: NormalWord) -> NormalWord:
@@ -706,18 +706,77 @@ class PcGroup:
         return {w: i for i, w in enumerate(self.elements())}
 
     @cached_property
+    def _strides(self) -> list[int]:
+        """stride[g] is the index of g_g: an index is Σ e_g·stride[g]."""
+        orders = self.pres.relative_orders
+        return [math.prod(orders[g + 1:]) for g in range(self.ngens)]
+
+    @cached_property
+    def _last_letters(self) -> list[int]:
+        """Entry y is the last letter of element y, the largest g with a
+        nonzero exponent (0 at the identity): the least g whose stride
+        divides y."""
+        last = [0] * self.order
+        for g in reversed(range(self.ngens)):
+            step = self._strides[g]
+            last[::step] = [g] * len(range(0, self.order, step))
+        return last
+
+    @cached_property
+    def _columns(self) -> list[list[int]]:
+        """The right-multiplication columns: entry x of column g is the index
+        of x·g_g.  Column g is built whole from the columns after it.  Write
+        x = a·b, a the letters of x up to g and b in G_{g+1} = <g_{g+1}, ...>,
+        the entries below stride[g].  Then x·g = (a·g)·b^g: while a's
+        exponent at g is below o_g − 1, a·g is a normal word and the entry is
+        x − b + stride[g] + conj[b]; at o_g − 1, a·g = prefix·w_g and the
+        entry is prefix + lead[conj[b]].  Over G_{g+1}, conj[r] is the index
+        of r^g and lead[c] that of w_g·c, both built by last letter: with
+        r = r'·g_m, r^g = r'^g·g_m·w_{m,g} (from g_m g = g g_m w_{m,g}) and
+        w_g·r = (w_g·r')·g_m.  This needs a consistent presentation, which
+        ``__init__`` requires.  Building them lists G (``elements``)."""
+        self.elements()
+        orders, strides, last = self.pres.relative_orders, self._strides, self._last_letters
+        comm_words = self.pres.comm_dict
+        columns: list[list[int]] = [[] for _ in range(self.ngens)]
+        # one int object per index, shared by all columns: an entry costs one pointer
+        ids = list(range(self.order))
+        for g in reversed(range(self.ngens)):
+            size, o = strides[g], orders[g]
+            # the columns that g_m·w_{m,g} walks, one per letter
+            walks = {
+                m: [columns[m]]
+                + [columns[h] for h, e in comm_words.get((m, g), ()) for _ in range(e)]
+                for m in range(g + 1, self.ngens)
+            }
+            conj = [0] * size
+            lead = [0] * size
+            lead[0] = sum(e * strides[h] for h, e in self.pres.power_words[g])
+            for r in range(1, size):
+                m = last[r]
+                y = conj[r - strides[m]]
+                for column in walks[m]:
+                    y = column[y]
+                conj[r] = y
+                lead[r] = columns[m][lead[r - strides[m]]]
+            # the entries of one period, x = prefix + e·size + b, less prefix
+            period = [e + c for e in range(size, size * o, size) for c in conj]
+            period.extend(lead[c] for c in conj)
+            take = itemgetter(*period)
+            col = columns[g]
+            for prefix in range(0, self.order, size * o):
+                col.extend(take(ids[prefix:prefix + size * o]))
+        return columns
+
+    @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The Cayley table over ``elements()``: rows[x][y] is the index of
         x·y.  Each entry is one column lookup (see the class docstring)."""
-        words = self.elements()
-        orders = self.pres.relative_orders
-        strides = [math.prod(orders[g + 1:]) for g in range(self.ngens)]
-        columns = [[self._step(x, g, 1) for x in range(self.order)] for g in range(self.ngens)]
+        columns, strides, last = self._columns, self._strides, self._last_letters
         # times[y] maps x to the index of x·y
         times = [list(range(self.order))]
         for y in range(1, self.order):
-            w = words[y]
-            m = max(g for g, e in enumerate(w) if e)
+            m = last[y]
             col = columns[m]
             times.append([col[t] for t in times[y - strides[m]]])
         return tuple(zip(*times))

@@ -16,7 +16,7 @@ from schurlab import commexpr
 from schurlab.catalog import load_bundled
 from schurlab.freenil import group_commutator
 from schurlab.identities import verify_collection_lemma
-from schurlab.pcgroup import group_of
+from schurlab.pcgroup import Collector, group_of
 from schurlab.verifier import RunConfig, run
 
 
@@ -120,6 +120,21 @@ def commutators_built(monkeypatch):
 
     monkeypatch.setattr(commexpr, "group_commutator", counting)
     return built
+
+
+@pytest.fixture
+def words_collected(monkeypatch):
+    """The letters of each word ``Collector.collect`` collects from here on."""
+    collected = []
+    collect = Collector.collect
+
+    def counting(self, letters, tails=None):
+        letters = tuple(letters)
+        collected.append(letters)
+        return collect(self, letters, tails)
+
+    monkeypatch.setattr(Collector, "collect", counting)
+    return collected
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,7 @@ from schurlab import verifier
 from schurlab.multiplier import schur_cover
 from schurlab.pcgroup import (
     DEFAULT_CAP,
+    TABLE_ORDER,
     CatalogSyntaxError,
     Collector,
     EnumerationCapExceeded,
@@ -141,6 +142,50 @@ def test_index_tables_match_arithmetic(bundled):
             assert [elems[y] for y in row] == [group.multiply(u, v) for v in elems], entry.name
 
 
+def d8_x_c3():
+    """D8 x C3, whose relative orders mix primes."""
+    return make_presentation(
+        "d8_x_c3", [2, 2, 2, 3], power_words={1: ((2, 1),)}, comm_words={(1, 0): ((2, 1),)}
+    )
+
+
+def _assert_columns_match_collection(group, xs):
+    """Entry x of each right-multiplication column, read as the product of
+    element x and a pc generator, is that element's word followed by the
+    generator, collected."""
+    collect = Collector(group.pres).collect
+    elems = group.elements()
+    for g, gen in enumerate(group.generators()):
+        for x in xs:
+            expected = collect(word_of(elems[x]) + ((g, 1),))
+            assert group.multiply(elems[x], gen) == expected, (group.pres.name, elems[x], g)
+
+
+def test_columns_match_collection(bundled):
+    small = [PcGroup(e.presentation) for e in bundled.values() if e.order <= 625]
+    for group in small + [PcGroup(d8_x_c3())]:
+        _assert_columns_match_collection(group, range(group.order))
+    cover = schur_cover(bundled["heisenberg_3_x_c3"].presentation).group
+    assert cover.order == 6561 > TABLE_ORDER
+    cover.elements()  # products walk the columns from here on
+    _assert_columns_match_collection(cover, random.Random(3).sample(range(cover.order), 400))
+
+
+def test_listed_group_fills_its_tables_without_collecting(bundled, words_collected):
+    groups = [PcGroup(e.presentation) for e in bundled.values() if e.order <= 81]
+    groups.append(PcGroup(d8_x_c3()))
+    cover = schur_cover(bundled["heisenberg_3_x_c3"].presentation).group
+    for group in groups + [cover]:
+        group.elements()
+    words_collected.clear()
+    for group in groups:
+        assert len(group.rows) == len(group.inverses) == group.order
+    rng = random.Random(4)
+    for _ in range(200):
+        cover.multiply(_random_element(cover, rng), _random_element(cover, rng))
+    assert words_collected == []
+
+
 def _squaring_order(group, u):
     """The least p^k with u^(p^k) = 1, each power by repeated squaring."""
     p = group.pres.relative_orders[0]
@@ -174,15 +219,13 @@ def test_element_orders_and_power_maps_match_squaring(bundled):
 
 def _sweep_cases(bundled):
     """Every bundled group, the cover of each bundled group of order <= 243
-    but abelian_3_3_3_3 (the sweeps fill its cover's 590,490 table entries,
-    over 10 s), and D8 x C3, whose relative orders mix primes."""
-    for name, entry in sorted(bundled.items()):
+    (that of abelian_3_3_3_3 has order 3^10; on a 2-core Xeon its sweeps take
+    about 2.5 s, 0.7 s of them the center and exp(G)), and D8 x C3."""
+    for _name, entry in sorted(bundled.items()):
         yield PcGroup(entry.presentation)
-        if entry.order <= 243 and name != "abelian_3_3_3_3":
+        if entry.order <= 243:
             yield schur_cover(entry.presentation).group
-    yield PcGroup(make_presentation(
-        "d8_x_c3", [2, 2, 2, 3], power_words={1: ((2, 1),)}, comm_words={(1, 0): ((2, 1),)}
-    ))
+    yield PcGroup(d8_x_c3())
 
 
 def test_center_exponents_and_power_subgroups_match_sweeps(bundled, sweeps):
