@@ -81,18 +81,23 @@ def _find_identity(table: Sequence[Sequence[int]]) -> int:
     raise MultiplierError("table has no identity element")
 
 
-def _span(table: Sequence[Sequence[int]], e: int, gens: Sequence[int]) -> set[int]:
-    """The subgroup generated by ``gens``: closure of {e} under right
-    multiplication by them (in a finite group the monoid is the group)."""
-    span, frontier = {e}, [e]
-    while frontier:
-        x = frontier.pop()
-        for s in gens:
-            y = table[x][s]
-            if y not in span:
-                span.add(y)
-                frontier.append(y)
-    return span
+def _cayley_tree(
+    table: Sequence[Sequence[int]], e: int, gens: Sequence[int]
+) -> dict[int, Optional[tuple[int, int]]]:
+    """A BFS tree of the Cayley graph of the subgroup ``gens`` generate, from
+    e: each member x, in BFS order, maps to its tree edge (h, j) with
+    h·gens[j] = x, and e maps to None.  It is the closure of {e} under right
+    multiplication by ``gens`` (in a finite group the monoid is the group)."""
+    tree: dict[int, Optional[tuple[int, int]]] = {e: None}
+    order = [e]
+    for h in order:
+        row = table[h]
+        for j, s in enumerate(gens):
+            x = row[s]
+            if x not in tree:
+                tree[x] = (h, j)
+                order.append(x)
+    return tree
 
 
 def _generating_set(table: Sequence[Sequence[int]], e: int) -> list[int]:
@@ -105,10 +110,10 @@ def _generating_set(table: Sequence[Sequence[int]], e: int) -> list[int]:
     for g in range(m):
         if g not in span:
             gens.append(g)
-            span = _span(table, e, gens)
+            span = _cayley_tree(table, e, gens)
     for s in list(gens):
         rest = [t for t in gens if t != s]
-        if len(_span(table, e, rest)) == m:
+        if len(_cayley_tree(table, e, rest)) == m:
             gens = rest
     return gens
 
@@ -120,22 +125,47 @@ def _check_oracle_cap(order: int, cap: int) -> None:
         raise OracleCapExceeded(f"group order {order} exceeds oracle cap {cap}")
 
 
+def _add_terms(vec: dict[int, int], terms) -> dict[int, int]:
+    """vec += the sum of v·[c] over (c, v) in ``terms``, in place; a cell c of
+    None lies at e and drops out, and so do zero entries."""
+    for c, v in terms:
+        if c is not None:
+            new = vec.get(c, 0) + v
+            if new:
+                vec[c] = new
+            else:
+                del vec[c]
+    return vec
+
+
 def bar_homology(
     table: Sequence[Sequence[int]], degree: int, cap: int = DEFAULT_ORACLE_CAP
 ) -> AbelianInvariants:
     """Integral homology H_degree(G, Z) from the normalized bar complex.
 
     d2[g|h] = [h] - [gh] + [g] and d3[g|h|k] = [h|k] - [gh|k] + [g|hk] - [g|h],
-    with tuples containing the identity dropped.
+    with cells containing the identity dropped.
 
-    im d3 is spanned by the rows d3[g|h|s] with s in an irredundant generating
-    set S of G, read off the table: d3∘d4 = 0 on [a|b|c|d] gives
-    d3[a|b|cd] = d3[b|c|d] - d3[ab|c|d] + d3[a|bc|d] + d3[a|b|c], so induction
-    on the length of k as a word in S writes every d3[a|b|k] with ±1
-    coefficients.  The lattice is the same, not just one of the same rank.
-    All d2 rows are kept (restricting them grows coefficients).  The C2
-    coordinates are numbered from the last pair [g|h] down, so the lattice
-    pivots on the heaviest pairs first and fill-in stays small.
+    The rows d2[g|s] and d3[g|h|s] with s in an irredundant generating set S,
+    read off the table, span im d2 and im d3: d2∘d3 = 0 on [g|h|s] and
+    d3∘d4 = 0 on [a|b|c|s] write d2[g|hs] and d3[a|b|cs] as ±1 sums of rows
+    whose last entry is shorter as a word in S, so induction on that length
+    gives the same lattices, not just ones of the same rank.
+
+    Most of those rows are solved by hand along a BFS tree of the Cayley graph
+    Γ(G, S) from e, whose first level is S.  A tree edge h → hs with h ≠ e
+    gives the rows d2[h|s] and d3[g|h|s], with a unit entry at [hs],
+    respectively [g|hs]; their other cells are kept ones, [s] or [y|s], or
+    lie closer to e, [h] or [g|h].  So each row writes its cell along the
+    tree path to x = hs: [x] is the sum of the letters [s] on the path, and
+    [g|x] is the sum over the path's edges (h, s) of [gh|s] - [h|s].  Each
+    eliminated coordinate is removed by exactly one row, with a unit there,
+    in tree order, so the change of coordinates is unimodular.  What is left
+    is free on the cells [s] (degree 1) and [y|s] (degree 2), and only the
+    non-tree rows, rewritten in them, reach the lattice: the cokernel is the
+    same group, not just one with the same torsion.  The cells [y|s] are
+    numbered from the deepest y up and the d3 rows go in shortest first,
+    which keeps the lattice's fill-in small.
     """
     if degree not in (1, 2):
         raise MultiplierError("only degrees 1 and 2 are supported")
@@ -146,47 +176,50 @@ def bar_homology(
             f"bar oracle running above the default cap (|G| = {m})", RuntimeWarning
         )
     e = _find_identity(table)
-    nontriv = [g for g in range(m) if g != e]
-    idx1 = {g: i for i, g in enumerate(nontriv)}
-    pairs = [(g, h) for g in nontriv for h in nontriv]
-
-    def chain(terms, coord: dict) -> dict[int, int]:
-        """Sparse vector of a signed sum of cells; cells that contain the
-        identity have no coordinate and are dropped."""
-        vec: dict[int, int] = {}
-        for cell, coeff in terms:
-            c = coord.get(cell)
-            if c is None:
-                continue
-            nv = vec.get(c, 0) + coeff
-            if nv:
-                vec[c] = nv
-            else:
-                del vec[c]
-        return vec
-
-    d2_lattice = LatticeBasis(len(nontriv))
-    for g, h in pairs:
-        d2_lattice.add(chain(((h, 1), (table[g][h], -1), (g, 1)), idx1))
-    if degree == 1:
-        torsion, free = d2_lattice.quotient_invariants()
-        if free:
-            raise MultiplierError(f"H1 free rank {free} nonzero for a finite group")
-        return AbelianInvariants(torsion)
-
-    idx2 = {gh: i for i, gh in enumerate(reversed(pairs))}
     gens = _generating_set(table, e)
-    d3_lattice = LatticeBasis(len(pairs))
-    for g, h in pairs:
-        gh = table[g][h]
-        for k in gens:
-            hk = table[h][k]
-            vec = chain((((h, k), 1), ((gh, k), -1), ((g, hk), 1), ((g, h), -1)), idx2)
+    k = len(gens)
+    tree = _cayley_tree(table, e, gens)
+    below = list(tree)[1:]  # BFS order: e's children gens first
+    # each edge h → x = h·gens[j] with h ≠ e off the tree gives one row
+    non_tree = [(h, j, table[h][s]) for h in below for j, s in enumerate(gens)
+                if tree[table[h][s]] != (h, j)]
+
+    path: list[dict[int, int]] = [{}] * m  # [x] over the letters [gens[j]]
+    for x in below:
+        h, j = tree[x]
+        path[x] = _add_terms(dict(path[h]), ((j, 1),))
+    d2_lattice = LatticeBasis(k)
+    for h, j, x in non_tree:  # d2[h|s] = [h] + [s] - [hs]
+        vec = _add_terms(dict(path[h]), ((j, 1),))
+        d2_lattice.add(_add_terms(vec, ((c, -v) for c, v in path[x].items())))
+    h1_torsion, h1_free = d2_lattice.quotient_invariants()
+    if degree == 1:
+        if h1_free:
+            raise MultiplierError(f"H1 free rank {h1_free} nonzero for a finite group")
+        return AbelianInvariants(h1_torsion)
+
+    cell: list[list[Optional[int]]] = [[None] * k] * m  # cell[y][j] = [y|gens[j]]
+    for i, y in enumerate(reversed(below)):
+        cell[y] = list(range(i * k, (i + 1) * k))
+    rows = []
+    for g in below:
+        gx = table[g]
+        walk: list[dict[int, int]] = [{}] * m  # [g|x] over the cells [y|s]
+        for x in below:
+            h, j = tree[x]
+            walk[x] = _add_terms(dict(walk[h]), ((cell[gx[h]][j], 1), (cell[h][j], -1)))
+        for h, j, x in non_tree:  # d3[g|h|s] = [h|s] - [gh|s] + [g|hs] - [g|h]
+            vec = _add_terms(dict(walk[x]), ((c, -v) for c, v in walk[h].items()))
+            vec = _add_terms(vec, ((cell[h][j], 1), (cell[gx[h]][j], -1)))
             if vec:
-                d3_lattice.add(vec)
+                rows.append(vec)
+    d3_lattice = LatticeBasis((m - 1) * k)
+    for vec in sorted(rows, key=len):
+        d3_lattice.add(vec)
     torsion, coker_free = d3_lattice.quotient_invariants()
-    # rank H2 = dim ker d2 - rank d3 = (dim2 - rank d2) - (dim2 - coker_free)
-    h2_free = coker_free - d2_lattice.rank
+    # rank H2 = dim ker d2 - rank d3 = coker_free - rank d2, and
+    # rank d2 = (m - 1) - (the H1 free rank)
+    h2_free = coker_free - (m - 1 - h1_free)
     if h2_free:
         raise MultiplierError(
             f"H2 free rank {h2_free} nonzero for a finite group (internal error)"

@@ -1,20 +1,22 @@
+import random
 import re
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurlab.intlinalg import LatticeBasis
+from schurlab.intlinalg import LatticeBasis, quotient_invariants
 from schurlab.multiplier import (
     DEFAULT_ORACLE_CAP,
     ORACLE_HARD_CAP,
     AbelianInvariants,
     MultiplierError,
     OracleCapExceeded,
+    _cayley_tree,
     _find_identity,
     _generating_set,
-    _span,
     bar_homology,
     exterior_exponent,
     multiplication_table,
@@ -109,12 +111,14 @@ def test_generating_set_is_minimal(bundled):
         table = multiplication_table(group)
         e = _find_identity(table)
         gens = _generating_set(table, e)
-        assert len(_span(table, e, gens)) == entry.order, entry.name
+        assert len(_cayley_tree(table, e, gens)) == entry.order, entry.name
         assert len(gens) == len(group.abelianization_invariants()), entry.name
 
 
-def test_bar_d3_rows_from_generators_only(bundled, monkeypatch):
-    # 225 d2 rows (15 x 15 nontrivial pairs) and 225 d3 rows per generator.
+def test_bar_lattice_takes_only_the_non_tree_rows(bundled, monkeypatch):
+    # D16 with S = {2 generators}: 15 * 2 rows d2[g|s], 15 * 15 * 2 rows
+    # d3[g|h|s], and 13 tree edges out of elements other than e, which solve
+    # 13 of the d2 rows and 15 * 13 of the d3 rows by hand.
     calls = []
     add = LatticeBasis.add
 
@@ -125,7 +129,65 @@ def test_bar_d3_rows_from_generators_only(bundled, monkeypatch):
     monkeypatch.setattr(LatticeBasis, "add", counting_add)
     group = group_of(bundled["dihedral_16"].presentation)
     assert bar_homology(multiplication_table(group), 2).torsion == (2,)
-    assert len(calls) <= 225 + 225 * 2
+    assert len(calls) <= 17 + 255
+
+
+def _textbook_bar_homology(table):
+    """H1 and H2 from the whole normalized bar complex: every one of the
+    (m-1)^2 rows of d2 and (m-1)^3 rows of d3, no generating set, no tree."""
+    m = len(table)
+    (e,) = [x for x in range(m) if table[x][x] == x]
+    nontriv = [g for g in range(m) if g != e]
+    c1 = {g: i for i, g in enumerate(nontriv)}
+    c2 = {gh: i for i, gh in enumerate(product(nontriv, repeat=2))}
+
+    def row(terms, coord):
+        vec = Counter()
+        for cell, v in terms:
+            if cell in coord:
+                vec[coord[cell]] += v
+        return {c: v for c, v in vec.items() if v}
+
+    d2 = [row(((h, 1), (table[g][h], -1), (g, 1)), c1) for g, h in c2]
+    d3 = [row((((h, k), 1), ((table[g][h], k), -1), ((g, table[h][k]), 1), ((g, h), -1)), c2)
+          for g, h, k in product(nontriv, repeat=3)]
+    h1_torsion, h1_free = quotient_invariants(m - 1, d2)
+    torsion, coker_free = quotient_invariants((m - 1) ** 2, d3)
+    rank_d2 = m - 1 - h1_free
+    return (AbelianInvariants(h1_torsion, h1_free),
+            AbelianInvariants(torsion, coker_free - rank_d2))
+
+
+def test_bar_oracle_matches_the_textbook_complex(bundled):
+    groups = [group_of(e.presentation) for e in bundled.values() if e.order <= 9]
+    groups += [
+        PcGroup(make_presentation("c6", [2, 3], power_words={0: ((1, 1),)})),
+        PcGroup(make_presentation("c2_x_c6", [2, 2, 3], power_words={1: ((2, 1),)})),
+    ]
+    assert len(groups) == 14  # the 12 bundled groups of order <= 9, C6, C2 x C6
+    for group in groups:
+        table = multiplication_table(group)
+        h1, h2 = _textbook_bar_homology(table)
+        assert bar_homology(table, 1) == h1, group.pres.name
+        assert bar_homology(table, 2) == h2, group.pres.name
+    assert h1.torsion == (2, 6) and h2.torsion == (2,)  # C2 x C6
+
+
+def test_bar_oracle_ignores_the_element_labelling(bundled):
+    rng = random.Random(1)
+    for name in ("abelian_2_2_2", "quaternion_8", "abelian_3_3", "dihedral_16", "modular_16"):
+        table = multiplication_table(group_of(bundled[name].presentation))
+        m = len(table)
+        perm = list(range(m))
+        while perm[0] == 0:  # the identity, index 0 in the listing, moves
+            rng.shuffle(perm)
+        relabelled = [[0] * m for _ in range(m)]
+        for x in range(m):
+            for y in range(m):
+                relabelled[perm[x]][perm[y]] = perm[table[x][y]]
+        assert _find_identity(relabelled) == perm[0] != 0
+        for degree in (1, 2):
+            assert bar_homology(relabelled, degree) == bar_homology(table, degree), name
 
 
 _LOG_CAP = {2: 5, 3: 3, 5: 2}  # largest k with p^k <= 32
