@@ -1,17 +1,15 @@
 """Command-line interface: catalog verification, multipliers, covers,
-collection-identity checks, bound tables, and the alpha coefficients."""
+collection-identity checks, bound tables, and the alpha coefficients.
+
+Each subcommand imports the modules it runs, so ``identities`` loads no
+verifier and ``verify`` no identity machinery.
+"""
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .bounds import emit_tables
-from .catalog import CatalogError, find_bundled
-from .identities import LEMMA_IDS, IdentityError, alpha, verify_collection_lemma
-from .multiplier import DEFAULT_ORACLE_CAP, ORACLE_HARD_CAP, OracleCapExceeded
-from .multiplier import exterior_exponent, schur_cover, schur_multiplier
-from .pcgroup import PcError
-from .verifier import RULE_IDS, RunConfig, run
+from .multiplier import DEFAULT_ORACLE_CAP
 
 
 class UsageError(Exception):
@@ -19,6 +17,8 @@ class UsageError(Exception):
 
 
 def _find_presentation(name: str):
+    from .catalog import find_bundled
+
     entry = find_bundled(name)
     if entry is None:
         raise UsageError(f"no bundled group named {name!r}")
@@ -26,6 +26,11 @@ def _find_presentation(name: str):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .catalog import CatalogError
+    from .multiplier import ORACLE_HARD_CAP
+    from .pcgroup import PcError
+    from .verifier import RULE_IDS, RunConfig, run
+
     if not 0 <= args.oracle_cap <= ORACLE_HARD_CAP:
         raise UsageError(
             f"--oracle-cap {args.oracle_cap}: must lie in 0..{ORACLE_HARD_CAP}, "
@@ -61,6 +66,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_multiplier(args: argparse.Namespace) -> int:
+    from .multiplier import OracleCapExceeded, schur_multiplier
+
     pres = _find_presentation(args.group)
     try:
         inv = schur_multiplier(pres, method=args.method)
@@ -71,6 +78,8 @@ def _cmd_multiplier(args: argparse.Namespace) -> int:
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
+    from .multiplier import exterior_exponent, schur_cover
+
     pres = _find_presentation(args.group)
     result = schur_cover(pres)
     ext = exterior_exponent(pres, result)
@@ -84,6 +93,8 @@ def _cmd_cover(args: argparse.Namespace) -> int:
 
 
 def _cmd_identities(args: argparse.Namespace) -> int:
+    from .identities import LEMMA_IDS, IdentityError, verify_collection_lemma
+
     ids = args.check or list(LEMMA_IDS)
     unknown = [i for i in ids if i not in LEMMA_IDS]
     if unknown:
@@ -104,11 +115,15 @@ def _cmd_identities(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
+    from .bounds import emit_tables
+
     print(emit_tables())
     return 0
 
 
 def _cmd_alpha(args: argparse.Namespace) -> int:
+    from .identities import IdentityError, alpha
+
     try:
         value = alpha(args.m, args.n)
     except IdentityError as exc:

@@ -18,7 +18,8 @@ the field or relation at fault.  The catalog parser checks line syntax only.
 Each presentation owns one ``Collector`` and runs its overlap tests once,
 with tails, the first time catalog load, ``PcGroup``, ``group_of`` or the
 tails matrix asks for them: the same run decides consistency and gives the
-relations among the tails.
+relations among the tails.  The first stage of each side is one relation,
+read off it; only the second stage is collected.
 """
 from __future__ import annotations
 
@@ -324,20 +325,36 @@ class Violation:
 def overlap_tests(collector: Collector):
     """Yield (family, indices, lhs, rhs, row) for every overlap test.
 
-    The four overlap families; each side collected deterministically into its
-    normal word, with one sparse tail count accumulated across its staged
-    collections.  ``row`` is the sparse difference {tail: lhs - rhs} of the
-    two counts: the relation consistency imposes on the tails.
+    The four overlap families.  Each side puts the left-hand side of one
+    relation, g_j g_i (j > i) or g_i^{o_i}, between two fixed words.  Its
+    first stage applies that relation once: a validated relation word has
+    increasing indices above the pair and exponents in range, so the result
+    is already normal and is read off the relation, with that relation's
+    tail +1, as the collector would rewrite it.  Only the second stage, the
+    result collected in place, calls the collector; both stages count into
+    one sparse tail map.  ``row`` is the sparse difference {tail: lhs - rhs}
+    of the two counts: the relation consistency imposes on the tails.
     """
     n = collector.n
     orders = collector.orders
+    power_words = collector.power_words
+    comm_words = collector.comm_words
+    comm_tail = collector.comm_tail_index
 
-    def side(first: Word, before: Word = (), after: Word = ()):
-        # collect ``first``, then its normal word between ``before`` and
-        # ``after``, counting tails over both collections in one sparse map
-        t = defaultdict(int)
-        e1 = collector.collect(first, t)
-        return collector.collect(before + word_of(e1) + after, t), t
+    def comm(j: int, i: int):
+        # g_j g_i = g_i g_j w_ji, one application of relation (j, i)
+        return ((i, 1), (j, 1)) + comm_words.get((j, i), ()), comm_tail[(j, i)]
+
+    def power(i: int):
+        # g_i^{o_i} = w_i, one application of relation i
+        return power_words[i], i
+
+    def side(first, before: Word = (), after: Word = ()):
+        # ``first`` is (normal word, tail) of the first stage; collect that
+        # word between ``before`` and ``after`` on top of its tail
+        word, tail = first
+        t = defaultdict(int, {tail: 1})
+        return collector.collect(before + word + after, t), t
 
     def test(family: str, indices: tuple[int, ...], lhs, rhs):
         (le, lt), (re_, rt) = lhs, rhs
@@ -349,23 +366,23 @@ def overlap_tests(collector: Collector):
         for j in range(k):
             for i in range(j):
                 # (g_k g_j) g_i  vs  g_k (g_j g_i)
-                rhs = side(((k, 1), (j, 1)), after=((i, 1),))
-                lhs = side(((j, 1), (i, 1)), before=((k, 1),))
+                rhs = side(comm(k, j), after=((i, 1),))
+                lhs = side(comm(j, i), before=((k, 1),))
                 yield test("triple", (k + 1, j + 1, i + 1), lhs, rhs)
     for j in range(n):
         for i in range(j):
             # (g_j^{o_j}) g_i  vs  g_j^{o_j-1} (g_j g_i)
-            lhs = side(((j, orders[j]),), after=((i, 1),))
-            rhs = side(((j, 1), (i, 1)), before=((j, orders[j] - 1),))
+            lhs = side(power(j), after=((i, 1),))
+            rhs = side(comm(j, i), before=((j, orders[j] - 1),))
             yield test("power_left", (j + 1, i + 1), lhs, rhs)
             # g_j (g_i^{o_i})  vs  (g_j g_i) g_i^{o_i-1}
-            lhs = side(((i, orders[i]),), before=((j, 1),))
-            rhs = side(((j, 1), (i, 1)), after=((i, orders[i] - 1),))
+            lhs = side(power(i), before=((j, 1),))
+            rhs = side(comm(j, i), after=((i, orders[i] - 1),))
             yield test("power_right", (j + 1, i + 1), lhs, rhs)
     for i in range(n):
         # g_i (g_i^{o_i})  vs  (g_i^{o_i}) g_i
-        lhs = side(((i, orders[i]),), before=((i, 1),))
-        rhs = side(((i, orders[i]),), after=((i, 1),))
+        lhs = side(power(i), before=((i, 1),))
+        rhs = side(power(i), after=((i, 1),))
         yield test("power_self", (i + 1,), lhs, rhs)
 
 

@@ -6,12 +6,18 @@ acceptance tests.
 """
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
 import types
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
+import schurlab
 from schurlab import commexpr
 from schurlab.catalog import load_bundled
 from schurlab.freenil import group_commutator
@@ -140,6 +146,28 @@ def words_collected(monkeypatch):
 @pytest.fixture(scope="session")
 def catalog_run():
     return bundle_run
+
+
+def schurlab_modules_after(code: str) -> list[str]:
+    """The ``schurlab.*`` modules a fresh interpreter holds after running
+    ``code`` against the schurlab under test, sorted; ``concurrent.futures``
+    is listed too when it was loaded."""
+    src = str(Path(schurlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    report = (
+        "import json, sys; print(json.dumps(sorted(m for m in sys.modules"
+        " if m.startswith('schurlab') or m == 'concurrent.futures')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="session")
+def modules_after():
+    return schurlab_modules_after
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

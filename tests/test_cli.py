@@ -199,3 +199,24 @@ def test_exit_codes_without_traceback(args, code, message, tmp_path):
             "error": "big_3_12: order 531441 exceeds cap 200000",
         }
         assert len(records) == 49 and all("rules" in rec for rec in records.values())
+
+
+@pytest.mark.parametrize(
+    "args, loaded, absent",
+    [
+        (["identities", "--check", "L3.8", "--n-max", "5"],
+         {"schurlab.identities", "schurlab.commexpr", "schurlab.freenil"},
+         {"schurlab.verifier", "schurlab.suites", "concurrent.futures"}),
+        (["verify", "--max-order", "4"],
+         {"schurlab.verifier", "schurlab.suites", "concurrent.futures"},
+         {"schurlab.identities", "schurlab.commexpr", "schurlab.freenil"}),
+    ],
+)
+def test_subcommand_loads_only_its_modules(args, loaded, absent, modules_after):
+    # stdout is the report, so the subcommand's own output goes to a buffer
+    code = (
+        "import contextlib, io; from schurlab.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): assert main({args!r}) == 0"
+    )
+    modules = set(modules_after(code))
+    assert loaded <= modules and not absent & modules, sorted(modules)

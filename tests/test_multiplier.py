@@ -28,6 +28,7 @@ from schurlab.pcgroup import (
     Collector,
     InconsistentPresentation,
     PcGroup,
+    Violation,
     check_consistency,
     group_of,
     make_presentation,
@@ -250,53 +251,82 @@ def test_tail_permutation_invariance(bundled):
         assert exterior_exponent(pres, cover) == expected, name
 
 
-def _reference_tails_rows(pres, tail_perm):
-    """The tails matrix rebuilt apart from the presentation's cached overlap
-    run: each overlap test collected once without tails (the sides must
-    agree) and once with tails by a fresh collector, row = lhs - rhs."""
+def _reference_overlaps(pres):
+    """Every overlap test of ``pres`` rebuilt apart from its cached overlap
+    run: each side collected in two stages by a fresh collector, once without
+    tails and once with dense tails.  Yields (family, indices, lhs, rhs,
+    lhs tails, rhs tails) in the run's order."""
     collector = Collector(pres)
     orders, n, r = pres.relative_orders, pres.ngens, collector.ntails
-    perm = tail_perm or range(r)
-    sides = []  # ((first, before, after) of lhs, same of rhs), in test order
+    tests = []  # (family, indices, (first, before, after) of lhs, same of rhs)
     for k in range(n):
         for j in range(k):
             for i in range(j):
-                sides.append(((((j, 1), (i, 1)), ((k, 1),), ()),
+                tests.append(("triple", (k + 1, j + 1, i + 1),
+                              (((j, 1), (i, 1)), ((k, 1),), ()),
                               (((k, 1), (j, 1)), (), ((i, 1),))))
     for j in range(n):
         for i in range(j):
-            sides.append(((((j, orders[j]),), (), ((i, 1),)),
+            tests.append(("power_left", (j + 1, i + 1),
+                          (((j, orders[j]),), (), ((i, 1),)),
                           (((j, 1), (i, 1)), ((j, orders[j] - 1),), ())))
-            sides.append(((((i, orders[i]),), ((j, 1),), ()),
+            tests.append(("power_right", (j + 1, i + 1),
+                          (((i, orders[i]),), ((j, 1),), ()),
                           (((j, 1), (i, 1)), (), ((i, orders[i] - 1),))))
     for i in range(n):
-        sides.append(((((i, orders[i]),), ((i, 1),), ()),
+        tests.append(("power_self", (i + 1,),
+                      (((i, orders[i]),), ((i, 1),), ()),
                       (((i, orders[i]),), (), ((i, 1),))))
 
     def collect(first, before, after, tails=None):
         e1 = collector.collect(first, tails)
         return collector.collect(before + word_of(e1) + after, tails)
 
-    rows = []
-    for lhs, rhs in sides:
-        assert collect(*lhs) == collect(*rhs), pres.name
+    for family, indices, lhs, rhs in tests:
         lt, rt = [0] * r, [0] * r
-        assert collect(*lhs, lt) == collect(*rhs, rt) == collect(*lhs), pres.name
+        words = collect(*lhs, lt), collect(*rhs, rt)
+        assert words == (collect(*lhs), collect(*rhs)), pres.name
+        yield (family, indices, *words, lt, rt)
+
+
+def _reference_tails_rows(pres, tail_perm):
+    """The tails matrix from ``_reference_overlaps``: the sides must agree,
+    and row = lhs tails - rhs tails, columns in ``tail_perm`` order."""
+    r = pres.ngens * (pres.ngens + 1) // 2
+    perm = tail_perm or range(r)
+    rows = []
+    for _, _, lhs, rhs, lt, rt in _reference_overlaps(pres):
+        assert lhs == rhs, pres.name
         rows.append({j: lt[old] - rt[old] for j, old in enumerate(perm) if lt[old] != rt[old]})
     return rows, r
 
 
 def test_tails_matrix_matches_separate_collections(bundled):
-    for entry in bundled.values():
-        if entry.order > 81:
-            continue
-        pres = entry.presentation
+    presentations = [e.presentation for e in bundled.values() if e.order <= 81]
+    # a cover's relation words run on into its tail generators
+    presentations += [schur_cover(e.presentation).cover
+                      for e in bundled.values() if e.order <= 64]
+    for pres in presentations:
         r = pres.ngens * (pres.ngens + 1) // 2
         for perm in (None, list(reversed(range(r)))):
             rows, ncols = tails_matrix(pres, perm)
             ref_rows, ref_ncols = _reference_tails_rows(pres, perm)
-            assert ncols == ref_ncols == r, entry.name
-            assert rows == ref_rows, (entry.name, perm is not None)
+            assert ncols == ref_ncols == r, pres.name
+            assert rows == ref_rows, (pres.name, perm is not None)
+
+
+def test_overlap_records_of_inconsistent_presentation_match_separate_collections():
+    # the corrupted presentation of test_inconsistent_presentation_rejected
+    bad = make_presentation("bad", [2, 2, 3], comm_words={(1, 0): ((2, 1),)}, prime=None)
+    reference = list(_reference_overlaps(bad))
+    records = [
+        (family, indices, lhs, rhs, {k: a - b for k, (a, b) in enumerate(zip(lt, rt)) if a != b})
+        for family, indices, lhs, rhs, lt, rt in reference
+    ]
+    assert records == list(bad.overlaps)
+    violations = [Violation(family, indices, lhs, rhs)
+                  for family, indices, lhs, rhs, _, _ in reference if lhs != rhs]
+    assert violations and check_consistency(bad) == violations
 
 
 def test_tails_method_rejects_inconsistent_presentation():

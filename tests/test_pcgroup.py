@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -184,6 +185,14 @@ def test_listed_group_fills_its_tables_without_collecting(bundled, words_collect
     for _ in range(200):
         cover.multiply(_random_element(cover, rng), _random_element(cover, rng))
     assert words_collected == []
+
+
+def test_overlap_run_collects_one_word_per_side(bundled, words_collected):
+    # the first stage of each side is one relation, read off without collecting
+    for entry in bundled.values():
+        fresh = dataclasses.replace(entry.presentation)  # no cached overlap run
+        words_collected.clear()
+        assert len(fresh.overlaps) * 2 == len(words_collected), entry.name
 
 
 def _squaring_order(group, u):

@@ -1,6 +1,6 @@
-"""Time ``record_for``, or the bar oracle, on each bundled group; print JSON.
+"""Time ``record_for`` or the bar oracle on each bundled group, or start-up; print JSON.
 
-    PYTHONPATH=src python tools/time_groups.py [--repeat 3] [--bar]
+    PYTHONPATH=src python tools/time_groups.py [--repeat 3] [--bar | --setup]
 
 Each timing starts from a fresh ``PcPresentation`` (the same fields, none of
 its cached collector, overlap run or group) with ``group_of``'s cache
@@ -10,6 +10,14 @@ instead: ``bar_homology`` in degree 2 on the Cayley table of each group of
 order at most ``ORACLE_HARD_CAP``, the table built before the timing.  A
 group's figure is the best of ``--repeat`` timings, in seconds; ``sum_s``
 adds them up.
+
+With ``--setup`` it times start-up instead: ``import schurlab.catalog``
+(``import_s``) and ``load_bundled()`` (``load_s``) in ``--repeat`` fresh
+interpreters per state, reported as best and median, in two states:
+``source`` runs ``python -B -X pycache_prefix=<empty dir>``, so every module
+the import pulls in, the standard library's too, is compiled from source;
+``bytecode`` runs ``python -X pycache_prefix=<dir>`` once untimed to write
+the bytecode caches there and then reads them.
 """
 from __future__ import annotations
 
@@ -17,11 +25,17 @@ import argparse
 import dataclasses
 import gc
 import json
+import os
 import platform
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
 import warnings
+from pathlib import Path
 
+import schurlab
 from schurlab.catalog import load_bundled
 from schurlab.multiplier import ORACLE_HARD_CAP, bar_homology, multiplication_table
 from schurlab.pcgroup import group_of
@@ -51,14 +65,71 @@ def time_bar(pres, repeat: int) -> float:
     return best
 
 
+# run in each fresh interpreter: the two start-up stages, timed apart
+SETUP_PROBE = (
+    "import json, time\n"
+    "t0 = time.perf_counter()\n"
+    "import schurlab.catalog\n"
+    "t1 = time.perf_counter()\n"
+    "schurlab.catalog.load_bundled()\n"
+    "t2 = time.perf_counter()\n"
+    "print(json.dumps({'import_s': t1 - t0, 'load_s': t2 - t1}))\n"
+)
+
+
+def probe_setup(flags: list[str]) -> dict[str, float]:
+    src = str(Path(schurlab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)  # -B decides, per state
+    proc = subprocess.run([sys.executable, *flags, "-c", SETUP_PROBE],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def best_and_median(times: list[float]) -> dict[str, float]:
+    return {"best": round(min(times), 6), "median": round(statistics.median(times), 6)}
+
+
+def time_setup(repeat: int) -> dict:
+    with tempfile.TemporaryDirectory() as empty, tempfile.TemporaryDirectory() as cache:
+        states = {
+            "source": ["-B", "-X", f"pycache_prefix={empty}"],
+            "bytecode": ["-X", f"pycache_prefix={cache}"],
+        }
+        probe_setup(states["bytecode"])  # writes the bytecode caches
+        runs = {state: [] for state in states}
+        for _ in range(repeat):  # the states alternate, so drift hits both
+            for state, flags in states.items():
+                runs[state].append(probe_setup(flags))
+    return {
+        state: {stage: best_and_median([run[stage] for run in samples])
+                for stage in ("import_s", "load_s")}
+        for state, samples in runs.items()
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=3, help="timings per group (default 3)")
-    parser.add_argument("--bar", action="store_true",
-                        help="time bar_homology in degree 2 on the groups it accepts")
+    parser.add_argument("--repeat", type=int, default=3,
+                        help="timings per group, or per start-up state (default 3)")
+    what = parser.add_mutually_exclusive_group()
+    what.add_argument("--bar", action="store_true",
+                      help="time bar_homology in degree 2 on the groups it accepts")
+    what.add_argument("--setup", action="store_true",
+                      help="time import schurlab.catalog and load_bundled() in fresh "
+                      "interpreters, from source and with bytecode")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    if args.setup:
+        print(json.dumps({
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "repeat": args.repeat,
+            "timed": "setup",
+            "states": time_setup(args.repeat),
+        }, indent=1))
+        return 0
     entries = sorted(load_bundled(), key=lambda e: e.name)
     timer = time_group
     if args.bar:
