@@ -9,8 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .multiplier import DEFAULT_ORACLE_CAP
-
 
 class UsageError(Exception):
     """Bad input that a subcommand detects; ``main`` reports it and exits 2."""
@@ -27,13 +25,14 @@ def _find_presentation(name: str):
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .catalog import CatalogError
-    from .multiplier import ORACLE_HARD_CAP
+    from .multiplier import DEFAULT_ORACLE_CAP, ORACLE_HARD_CAP
     from .pcgroup import PcError
     from .verifier import RULE_IDS, RunConfig, run
 
-    if not 0 <= args.oracle_cap <= ORACLE_HARD_CAP:
+    oracle_cap = DEFAULT_ORACLE_CAP if args.oracle_cap is None else args.oracle_cap
+    if not 0 <= oracle_cap <= ORACLE_HARD_CAP:
         raise UsageError(
-            f"--oracle-cap {args.oracle_cap}: must lie in 0..{ORACLE_HARD_CAP}, "
+            f"--oracle-cap {oracle_cap}: must lie in 0..{ORACLE_HARD_CAP}, "
             "the bar oracle's hard limit"
         )
     if args.jobs < 1:
@@ -53,7 +52,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         catalog_paths=tuple(args.catalog),
         rules=rules,
         max_order=args.max_order,
-        oracle_cap=args.oracle_cap,
+        oracle_cap=oracle_cap,
         strict=args.strict,
         jobs=args.jobs,
     )
@@ -146,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--rules", default="all",
                           help="'all' or comma-separated rule ids (R1,R3,...)")
     p_verify.add_argument("--max-order", type=int, default=None)
-    p_verify.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
+    p_verify.add_argument("--oracle-cap", type=int, default=None)  # None: DEFAULT_ORACLE_CAP
     p_verify.add_argument("--strict", action="store_true",
                           help="exit 3 when any result was skipped")
     p_verify.add_argument("--format", choices=("text", "json", "csv"), default="text")

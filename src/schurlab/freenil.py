@@ -13,6 +13,13 @@ term, u^{c+1} = 0 and s^n = sum_{t<=c} C(n, t) u^t exactly, for every integer
 n.  A series computes u, u^2, ..., u^c once, on its first power or inverse;
 after that every power of it is a linear combination, with no products, so a
 power costs the same for n = 3 and n = 3000.
+
+Few products are made.  A product with the series 1 returns the other
+operand (series are immutable).  A commutator is one right division:
+[u, v] = uv (vu)^{-1} = 1 + Z with Z vu = uv - vu, solved for Z degree by
+degree, so it costs two products and no inverse.  An expansion into ordered
+factors peels each layer off one factor at a time, as f^{-e}, rather than
+building the layer's product and inverting it.
 """
 from __future__ import annotations
 
@@ -30,6 +37,9 @@ class FreenilError(Exception):
 
 class NonIntegralExpansion(FreenilError):
     pass
+
+
+_ONE_PART = {0: 1}  # the degree-0 part of the series 1
 
 
 class TruncatedSeries:
@@ -99,28 +109,27 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
-        c, k = self.c, self.k
-        kpow = _k_powers(k, c)
-        parts = [dict() for _ in range(c + 1)]
-        for d1, p1 in enumerate(self.parts):
-            if not p1:
-                continue
-            for d2 in range(c - d1 + 1):
-                p2 = other.parts[d2]
-                if not p2:
-                    continue
-                out = parts[d1 + d2]
-                m = kpow[d2]
-                for v1, c1 in p1.items():
-                    base = v1 * m
-                    for v2, c2 in p2.items():
-                        key = base + v2
-                        nv = out.get(key, 0) + c1 * c2
-                        if nv:
-                            out[key] = nv
-                        else:
-                            del out[key]
-        return TruncatedSeries(k, c, parts)
+        if self.is_one():
+            return other  # series are immutable, so the operand itself serves
+        if other.is_one():
+            return self
+        c = self.c
+        kpow = _k_powers(self.k, c)
+        a, b = self.constant(), other.constant()
+        parts: list[dict[int, int]] = [{0: a * b} if a * b else {}]
+        for d in range(1, c + 1):
+            # the degree-0 parts contribute a * other_d + b * self_d
+            p2 = other.parts[d]
+            if a == 1:
+                out = p2.copy()
+            else:
+                out = {v: a * x for v, x in p2.items()} if a else {}
+            if b:
+                for v, x in self.parts[d].items():
+                    out[v] = out.get(v, 0) + b * x
+            _add_cross_terms(out, self.parts, other.parts, d, kpow)
+            parts.append({v: x for v, x in out.items() if x})
+        return TruncatedSeries(self.k, c, parts)
 
     def _u_powers(self) -> tuple["TruncatedSeries", ...]:
         """u, u^2, ..., u^m for u = s - (constant term), where m is the
@@ -172,7 +181,8 @@ class TruncatedSeries:
         return dict(self.parts[d])
 
     def is_one(self) -> bool:
-        return self.constant() == 1 and all(not p for p in self.parts[1:])
+        parts = self.parts
+        return parts[0] == _ONE_PART and not any(parts[1:])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -198,6 +208,29 @@ class TruncatedSeries:
         return "Series(" + " + ".join(terms[:12]) + (" + ..." if len(terms) > 12 else "") + ")"
 
 
+def _add_cross_terms(
+    out: dict[int, int],
+    left: Sequence[dict[int, int]],
+    right: Sequence[dict[int, int]],
+    d: int,
+    kpow: Sequence[int],
+    sign: int = 1,
+) -> None:
+    """Add sign * left_{d1} right_{d2} over d1 + d2 = d, d1, d2 >= 1, to the
+    degree-d part ``out``, skipping empty parts; cancelled keys stay as 0."""
+    for d1 in range(1, d):
+        p1, p2 = left[d1], right[d - d1]
+        if not p1 or not p2:
+            continue
+        m = kpow[d - d1]
+        for v1, c1 in p1.items():
+            base = v1 * m
+            c1 *= sign
+            for v2, c2 in p2.items():
+                key = base + v2
+                out[key] = out.get(key, 0) + c1 * c2
+
+
 @lru_cache(maxsize=None)
 def _k_powers(k: int, c: int) -> tuple[int, ...]:
     out = [1]
@@ -215,8 +248,22 @@ def _unpack(v: int, d: int, k: int) -> list[int]:
 
 
 def group_commutator(u: TruncatedSeries, v: TruncatedSeries) -> TruncatedSeries:
-    """[u, v] = u v u^{-1} v^{-1}."""
-    return u * v * u.inverse() * v.inverse()
+    """[u, v] = u v u^{-1} v^{-1} = uv (vu)^{-1}, by one right division:
+    [u, v] = 1 + Z with Z vu = uv - vu, and since vu has constant term 1,
+    Z_d = (uv - vu)_d - sum_{j=1}^{d-1} Z_{d-j} (vu)_j, degree by degree."""
+    if u.constant() != 1 or v.constant() != 1:
+        raise FreenilError("only series with constant term 1 are inverted")
+    uv, vu = u * v, v * u
+    c, q = uv.c, vu.parts
+    kpow = _k_powers(uv.k, c)
+    z: list[dict[int, int]] = [{0: 1}]
+    for d in range(1, c + 1):
+        zd = dict(uv.parts[d])
+        for key, x in q[d].items():
+            zd[key] = zd.get(key, 0) - x
+        _add_cross_terms(zd, z, q, d, kpow, -1)
+        z.append({key: x for key, x in zd.items() if x})
+    return TruncatedSeries(uv.k, c, z)
 
 
 def right_normed(series: Sequence[TruncatedSeries]) -> TruncatedSeries:
@@ -359,14 +406,16 @@ def expansion_exponents(
         except ValueError as exc:
             raise NonIntegralExpansion(f"weight {w}: {exc}") from exc
         out.append(coeffs)
-        block = TruncatedSeries.one(s.k, s.c)
-        for f, e in zip(factors, coeffs):
-            if e:
-                block = block * f.power(e)
+        # peel the layer's block f_1^{e_1} ... f_m^{e_m} one factor at a time:
+        # from the left f_1 comes off first, from the right f_m
         if side == "left":
-            residual = block.inverse() * residual
+            for f, e in zip(factors, coeffs):
+                if e:
+                    residual = f.power(-e) * residual
         else:
-            residual = residual * block.inverse()
+            for f, e in zip(reversed(factors), reversed(coeffs)):
+                if e:
+                    residual = residual * f.power(-e)
     if not residual.is_one():
         raise NonIntegralExpansion("nonzero residual after all layers")
     return out

@@ -206,10 +206,14 @@ def test_exit_codes_without_traceback(args, code, message, tmp_path):
     [
         (["identities", "--check", "L3.8", "--n-max", "5"],
          {"schurlab.identities", "schurlab.commexpr", "schurlab.freenil"},
-         {"schurlab.verifier", "schurlab.suites", "concurrent.futures"}),
+         {"schurlab.verifier", "schurlab.suites", "concurrent.futures",
+          "schurlab.multiplier"}),
         (["verify", "--max-order", "4"],
          {"schurlab.verifier", "schurlab.suites", "concurrent.futures"},
          {"schurlab.identities", "schurlab.commexpr", "schurlab.freenil"}),
+        (["tables"], {"schurlab.bounds"}, {"schurlab.multiplier", "schurlab.pcgroup"}),
+        (["alpha", "--m", "2", "--n", "3"], {"schurlab.identities"},
+         {"schurlab.multiplier", "schurlab.pcgroup"}),
     ],
 )
 def test_subcommand_loads_only_its_modules(args, loaded, absent, modules_after):

@@ -13,6 +13,7 @@ from schurlab.freenil import (
     group_commutator,
     normal_form,
     product_of_basics,
+    _unpack,
     verify_identity,
 )
 
@@ -155,3 +156,67 @@ def test_new_series_do_not_share_cached_powers(s, n, data):
         assert t._upowers is None
         assert t.power(n) == repeated_power(t, n)
         assert not set(map(id, t._u_powers())) & set(map(id, s._u_powers()))
+
+
+def schoolbook_product(s, t):
+    """s t term by term on the unpacked words, the reference for ``*``."""
+    k, c = s.k, s.c
+    out = {}
+    for d1, p1 in enumerate(s.parts):
+        for d2, p2 in enumerate(t.parts[: c - d1 + 1]):
+            for v1, c1 in p1.items():
+                for v2, c2 in p2.items():
+                    word = (*_unpack(v1, d1, k), *_unpack(v2, d2, k))
+                    out[word] = out.get(word, 0) + c1 * c2
+    parts = [{} for _ in range(c + 1)]
+    for word, cf in out.items():
+        if cf:
+            parts[len(word)][sum(x * k**i for i, x in enumerate(reversed(word)))] = cf
+    return TruncatedSeries(k, c, parts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(series(constant=st.integers(-3, 3)), st.data())
+def test_product_matches_schoolbook_and_one_is_neutral(s, data):
+    t = data.draw(series(constant=st.integers(-3, 3), k=s.k, c=s.c))
+    one = TruncatedSeries.one(s.k, s.c)
+    assert s * t == schoolbook_product(s, t)
+    assert s * one == s and one * s == s
+    assert (s * t).is_one() == (schoolbook_product(s, t) == one)
+
+
+@settings(max_examples=80, deadline=None)
+@given(series(), st.data())
+def test_commutator_by_right_division_matches_four_products(u, data):
+    v = data.draw(series(k=u.k, c=u.c))
+    comm = group_commutator(u, v)
+    assert comm == u * v * u.inverse() * v.inverse()
+    assert all(type(x) is int for part in comm.parts for x in part.values())
+
+
+@settings(max_examples=20, deadline=None)
+@given(series(constant=st.integers(-3, 3).filter(lambda a: a != 1)), st.data())
+def test_commutator_rejects_other_constant_terms(s, data):
+    t = data.draw(series(k=s.k, c=s.c))
+    for u, v in ((s, t), (t, s)):
+        with pytest.raises(FreenilError, match="constant term 1"):
+            group_commutator(u, v)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(("left", "right")), st.data())
+def test_expansion_exponents_round_trip_at_class_5(side, data):
+    # several factors per layer: 2, 1, 2, 3 and 6 at weights 1..5
+    basis = HallBasis(2, 5)
+    layers = [(w, [basis.series(bc) for bc in basis.by_weight[w]]) for w in range(1, 6)]
+    exps = [[data.draw(st.integers(-6, 6)) for _ in factors] for _, factors in layers]
+    s = TruncatedSeries.one(2, 5)
+    blocks = []
+    for (_, factors), layer in zip(layers, exps):
+        block = TruncatedSeries.one(2, 5)
+        for f, e in zip(factors, layer):
+            block = block * f.power(e)
+        blocks.append(block)
+    for block in blocks if side == "left" else reversed(blocks):
+        s = s * block
+    assert expansion_exponents(s, layers, side=side) == exps

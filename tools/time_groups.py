@@ -1,6 +1,6 @@
-"""Time ``record_for`` or the bar oracle on each bundled group, or start-up; print JSON.
+"""Time ``record_for``, the bar oracle, the identity checks or start-up; print JSON.
 
-    PYTHONPATH=src python tools/time_groups.py [--repeat 3] [--bar | --setup]
+    PYTHONPATH=src python tools/time_groups.py [--repeat 3] [--bar | --identities | --setup]
 
 Each timing starts from a fresh ``PcPresentation`` (the same fields, none of
 its cached collector, overlap run or group) with ``group_of``'s cache
@@ -11,13 +11,19 @@ order at most ``ORACLE_HARD_CAP``, the table built before the timing.  A
 group's figure is the best of ``--repeat`` timings, in seconds; ``sum_s``
 adds them up.
 
+With ``--identities`` it times ``verify_collection_lemma`` at its default
+``n_max`` on each lemma instead, with the ``alpha`` and class-5 factor
+caches cleared before each timing; ``lemmas`` holds the best of
+``--repeat`` per lemma and ``sum_s`` adds them up.
+
 With ``--setup`` it times start-up instead: ``import schurlab.catalog``
 (``import_s``) and ``load_bundled()`` (``load_s``) in ``--repeat`` fresh
-interpreters per state, reported as best and median, in two states:
-``source`` runs ``python -B -X pycache_prefix=<empty dir>``, so every module
-the import pulls in, the standard library's too, is compiled from source;
-``bytecode`` runs ``python -X pycache_prefix=<dir>`` once untimed to write
-the bytecode caches there and then reads them.
+interpreters per state, reported as best and median, in two states, each on
+its own copy of the package made without bytecode caches: ``source`` runs
+``python -B``, so schurlab is compiled from source on every run, as in a
+fresh checkout, while the standard library reads its installed caches;
+``bytecode`` runs ``python`` once untimed to write the copy's caches and
+then reads them.
 """
 from __future__ import annotations
 
@@ -27,6 +33,7 @@ import gc
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -37,6 +44,7 @@ from pathlib import Path
 
 import schurlab
 from schurlab.catalog import load_bundled
+from schurlab.identities import LEMMA_IDS, _l41_layers, alpha, verify_collection_lemma
 from schurlab.multiplier import ORACLE_HARD_CAP, bar_homology, multiplication_table
 from schurlab.pcgroup import group_of
 from schurlab.verifier import record_for
@@ -77,9 +85,8 @@ SETUP_PROBE = (
 )
 
 
-def probe_setup(flags: list[str]) -> dict[str, float]:
-    src = str(Path(schurlab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
+def probe_setup(flags: list[str], src: Path) -> dict[str, float]:
+    env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("PYTHONDONTWRITEBYTECODE", None)  # -B decides, per state
     proc = subprocess.run([sys.executable, *flags, "-c", SETUP_PROBE],
                           capture_output=True, text=True, env=env, check=True)
@@ -91,16 +98,18 @@ def best_and_median(times: list[float]) -> dict[str, float]:
 
 
 def time_setup(repeat: int) -> dict:
-    with tempfile.TemporaryDirectory() as empty, tempfile.TemporaryDirectory() as cache:
-        states = {
-            "source": ["-B", "-X", f"pycache_prefix={empty}"],
-            "bytecode": ["-X", f"pycache_prefix={cache}"],
-        }
-        probe_setup(states["bytecode"])  # writes the bytecode caches
+    package = Path(schurlab.__file__).resolve().parent
+    with tempfile.TemporaryDirectory() as tmp:
+        states = {"source": ["-B"], "bytecode": []}
+        copies = {state: Path(tmp, state) for state in states}
+        for src in copies.values():
+            shutil.copytree(package, src / "schurlab",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        probe_setup(states["bytecode"], copies["bytecode"])  # writes its bytecode caches
         runs = {state: [] for state in states}
         for _ in range(repeat):  # the states alternate, so drift hits both
             for state, flags in states.items():
-                runs[state].append(probe_setup(flags))
+                runs[state].append(probe_setup(flags, copies[state]))
     return {
         state: {stage: best_and_median([run[stage] for run in samples])
                 for stage in ("import_s", "load_s")}
@@ -108,45 +117,59 @@ def time_setup(repeat: int) -> dict:
     }
 
 
+def time_identities(repeat: int) -> dict[str, float]:
+    best = {}
+    for lemma_id in LEMMA_IDS:
+        best[lemma_id] = float("inf")
+        for _ in range(repeat):
+            alpha.cache_clear()
+            _l41_layers.cache_clear()
+            gc.collect()
+            start = time.perf_counter()
+            verify_collection_lemma(lemma_id)
+            best[lemma_id] = min(best[lemma_id], time.perf_counter() - start)
+    return {lemma_id: round(t, 6) for lemma_id, t in best.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3,
-                        help="timings per group, or per start-up state (default 3)")
+                        help="timings per group or lemma, or per start-up state "
+                        "(default 3)")
     what = parser.add_mutually_exclusive_group()
     what.add_argument("--bar", action="store_true",
                       help="time bar_homology in degree 2 on the groups it accepts")
+    what.add_argument("--identities", action="store_true",
+                      help="time verify_collection_lemma on each lemma")
     what.add_argument("--setup", action="store_true",
                       help="time import schurlab.catalog and load_bundled() in fresh "
                       "interpreters, from source and with bytecode")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    if args.setup:
-        print(json.dumps({
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "repeat": args.repeat,
-            "timed": "setup",
-            "states": time_setup(args.repeat),
-        }, indent=1))
-        return 0
-    entries = sorted(load_bundled(), key=lambda e: e.name)
-    timer = time_group
-    if args.bar:
-        entries = [e for e in entries if e.order <= ORACLE_HARD_CAP]
-        timer = time_bar
-        warnings.filterwarnings("ignore", "bar oracle running above the default cap")
-    groups = {e.name: round(timer(e.presentation, args.repeat), 6) for e in entries}
-    print(json.dumps({
+    report = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "repeat": args.repeat,
-        "timed": "bar_homology" if args.bar else "record_for",
-        "sum_s": round(sum(groups.values()), 6),
-        "groups": groups,
-    }, indent=1))
+    }
+    if args.setup:
+        report.update(timed="setup", states=time_setup(args.repeat))
+    elif args.identities:
+        lemmas = time_identities(args.repeat)
+        report.update(timed="verify_collection_lemma",
+                      sum_s=round(sum(lemmas.values()), 6), lemmas=lemmas)
+    else:
+        entries = sorted(load_bundled(), key=lambda e: e.name)
+        timer = time_group
+        if args.bar:
+            entries = [e for e in entries if e.order <= ORACLE_HARD_CAP]
+            timer = time_bar
+            warnings.filterwarnings("ignore", "bar oracle running above the default cap")
+        groups = {e.name: round(timer(e.presentation, args.repeat), 6) for e in entries}
+        report.update(timed="bar_homology" if args.bar else "record_for",
+                      sum_s=round(sum(groups.values()), 6), groups=groups)
+    print(json.dumps(report, indent=1))
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
