@@ -9,8 +9,9 @@ orders o_i, and relations
 Elements are normal words: exponent tuples (e_1..e_n) with 0 <= e_i < o_i.
 Words are collected from the left.  The collector counts one central integer
 "tail" per relation when asked to; that powers the Schur-multiplier
-computation in the multiplier module.  A listed group multiplies by index
-tables read off the relations, with no collection (see ``PcGroup``).
+computation in the multiplier module.  A listed group computes on element
+indices, down tables read off the relations, with no collection (see
+``PcGroup``).
 
 A ``PcPresentation`` is valid by construction: it checks its own orders,
 declared prime and relation words once, when it is made, and a failure names
@@ -232,6 +233,16 @@ class Collector:
         self.pairs = [(j, i) for j in range(self.n) for i in range(j)]
         self.ntails = self.n + len(self.pairs)
         self.comm_tail_index = {pair: self.n + k for k, pair in enumerate(self.pairs)}
+        # each relation's right-hand side reversed, as a rewrite pushes it onto
+        # the pending stack, and each commutator relation's tail, by [j][i]
+        self._power_stack = [tuple(reversed(w)) for w in self.power_words]
+        self._comm_stack = [
+            [tuple(reversed(self.comm_words.get((j, i), ()))) for i in range(self.n)]
+            for j in range(self.n)
+        ]
+        self._comm_tail = [
+            [self.comm_tail_index.get((j, i), -1) for i in range(self.n)] for j in range(self.n)
+        ]
 
     def collect(
         self, letters: Iterable[tuple[int, int]], tails: Optional[list[int] | dict[int, int]] = None
@@ -241,7 +252,7 @@ class Collector:
         ``tails``, when given, accumulates relation applications by tail index:
         a list of length ntails or a sparse ``defaultdict(int)``.
         """
-        buf: list[list[int]] = []
+        buf: list[tuple[int, int]] = []
         self._push(letters, tails, buf)
         return self._reduce(buf, tails)
 
@@ -250,62 +261,68 @@ class Collector:
             if not 0 <= g < self.n:
                 raise PcError(f"generator index {g} out of range")
             if e > 0:
-                out.append([g, e])
+                out.append((g, e))
             elif e < 0:
                 for _ in range(-e):
                     self._push_inverse(g, tails, out)
 
     def _push_inverse(self, g: int, tails, out) -> None:
         # g^{-1} = g^{o-1} (w_g)^{-1} t^{-1}  from  g^o = w_g t  (t central)
-        out.append([g, self.orders[g] - 1])
+        out.append((g, self.orders[g] - 1))
         for h, e in reversed(self.power_words[g]):
             for _ in range(e):
                 self._push_inverse(h, tails, out)
         if tails is not None:
             tails[g] -= 1
 
-    def _reduce(self, buf: list[list[int]], tails) -> NormalWord:
+    def _reduce(self, buf: list[tuple[int, int]], tails) -> NormalWord:
+        """Collect ``buf`` from the left on two stacks: ``done``, the
+        collected prefix, and ``todo``, the rest of the word reversed, whose
+        top is the letter at the cursor.  A letter equal in generator to the
+        next merges with it; an exponent at or above its relative order is
+        rewritten by the power relation; a letter above the next is swapped
+        past it by one commutator relation.  A rewrite puts its result on
+        ``todo`` and moves ``done``'s top back onto it: the cursor backs up
+        one letter."""
         orders = self.orders
-        power_words = self.power_words
-        comm_words = self.comm_words
+        power_stack, comm_stack, comm_tail = self._power_stack, self._comm_stack, self._comm_tail
         counting = tails is not None
-        i = 0
-        while i < len(buf):
-            g, e = buf[i]
-            if i + 1 < len(buf) and buf[i + 1][0] == g:
-                buf[i][1] = e + buf[i + 1][1]
-                del buf[i + 1]
+        done: list[tuple[int, int]] = []
+        todo = buf[::-1]
+        push, pop = todo.append, todo.pop
+        while todo:
+            g, e = pop()
+            nxt = todo[-1] if todo else None
+            if nxt is not None and nxt[0] == g:
+                todo[-1] = (g, e + nxt[1])
                 continue
-            if e >= orders[g]:
-                repl = []
-                if e - orders[g]:
-                    repl.append([g, e - orders[g]])
-                repl.extend([h, ee] for h, ee in power_words[g])
-                buf[i : i + 1] = repl
+            o = orders[g]
+            if e >= o:
+                # g^e = g^{e-o} w_g
+                todo.extend(power_stack[g])
+                if e > o:
+                    push((g, e - o))
                 if counting:
                     tails[g] += 1
-                i = max(i - 1, 0)
+            elif nxt is not None and nxt[0] < g:
+                # one swap step: g^e g2^{e2} = g^{e-1} g2 g w_{g,g2} g2^{e2-1}
+                g2, e2 = pop()
+                if e2 > 1:
+                    push((g2, e2 - 1))
+                todo.extend(comm_stack[g][g2])
+                push((g, 1))
+                push((g2, 1))
+                if e > 1:
+                    push((g, e - 1))
+                if counting:
+                    tails[comm_tail[g][g2]] += 1
+            else:
+                done.append((g, e))
                 continue
-            if i + 1 < len(buf):
-                g2, e2 = buf[i + 1]
-                if g2 < g:
-                    # one swap step: g^e g2^{e2} = g^{e-1} g2 g w_{g,g2} g2^{e2-1}
-                    repl = []
-                    if e - 1:
-                        repl.append([g, e - 1])
-                    repl.append([g2, 1])
-                    repl.append([g, 1])
-                    repl.extend([h, ee] for h, ee in comm_words.get((g, g2), ()))
-                    if e2 - 1:
-                        repl.append([g2, e2 - 1])
-                    buf[i : i + 2] = repl
-                    if counting:
-                        tails[self.comm_tail_index[(g, g2)]] += 1
-                    i = max(i - 1, 0)
-                    continue
-            i += 1
+            if done:
+                push(done.pop())
         exps = [0] * self.n
-        for g, e in buf:
+        for g, e in done:
             exps[g] = e
         return tuple(exps)
 
@@ -403,13 +420,16 @@ class Subgroup:
     ``terms[d]`` is the term of depth d, exponents 0 before d and 1 at d.
     The members are the products t^e t'^e' ··· of the terms in order of
     depth, each e below the relative order at its depth, so those orders
-    multiply to the order.  Membership sifts; only ``elements`` enumerates."""
+    multiply to the order.  Membership sifts; only ``elements`` enumerates.
+    In a listed group both run on element indices: ``_powers[d]`` holds the
+    indices of t^0, ..., t^(o−1) for the term t of depth d."""
 
     group: "PcGroup"
     terms: dict[int, NormalWord] = field(default_factory=dict)
     _exponents: dict[Optional["Subgroup"], int] = field(
         default_factory=dict, init=False, repr=False
     )
+    _powers: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -420,6 +440,8 @@ class Subgroup:
         """w with its exponents cleared in order by powers of the terms on the
         left, up to a depth with no term: the identity exactly on members."""
         group = self.group
+        if group._tabled:
+            return group._words[self._sift(group.position(w))]
         for d, o in enumerate(group.pres.relative_orders):
             if w[d]:
                 t = self.terms.get(d)
@@ -428,8 +450,38 @@ class Subgroup:
                 w = group.multiply(group.power(t, o - w[d]), w)
         return w
 
+    def _sift(self, x: int) -> int:
+        """``sift`` on the index x of a listed group: clearing exponent e at
+        depth d folds x's walk onto the index of t^(o−e)."""
+        group = self.group
+        words, walks = group._words, group._walks
+        for d, o in enumerate(group.pres.relative_orders):
+            e = words[x][d]
+            if e:
+                pows = self._term_powers(d)
+                if pows is None:
+                    break
+                y = pows[o - e]
+                for col in walks[x]:
+                    y = col[y]
+                x = y
+        return x
+
+    def _term_powers(self, d: int) -> Optional[list[int]]:
+        """``_powers[d]``, filled from ``terms`` the first time; None when no
+        term has depth d."""
+        pows = self._powers.get(d)
+        if pows is None and d in self.terms:
+            group = self.group
+            t, o = group.position(self.terms[d]), group.pres.relative_orders[d]
+            pows = self._powers[d] = group._powers_up_to(t, o - 1)
+        return pows
+
     def __contains__(self, w: NormalWord) -> bool:
-        return self.sift(w) == self.group.identity
+        group = self.group
+        if group._tabled:
+            return self._sift(group.position(w)) == 0
+        return self.sift(w) == group.identity
 
     def __le__(self, other: "Subgroup") -> bool:
         return all(t in other for t in self.terms.values())
@@ -445,6 +497,11 @@ class Subgroup:
             raise EnumerationCapExceeded(
                 f"{group.pres.name}: subgroup order {self.order} exceeds cap {DEFAULT_CAP}"
             )
+        if group._tabled:
+            members = [0]
+            for d in sorted(self.terms, reverse=True):
+                members = [group._times(x, y) for x in self._term_powers(d) for y in members]
+            return frozenset(map(group._words.__getitem__, members))
         members = [group.identity]
         for d in sorted(self.terms, reverse=True):
             t, o = self.terms[d], group.pres.relative_orders[d]
@@ -507,20 +564,27 @@ class PcGroup:
 
     ``elements()`` lists the normal words lexicographically, at most
     ``DEFAULT_CAP`` of them.  From the first product in a group of order at
-    most ``TABLE_ORDER``, and from that list on in a larger group, products
-    compute by index tables (Leedham-Green–Soicher, "Collection from the left
-    and other strategies", JSC 9, 1990): each pc generator g has a
+    most ``TABLE_ORDER``, and from that list on in a larger group, the group
+    computes on element indices (Leedham-Green–Soicher, "Collection from the
+    left and other strategies", JSC 9, 1990): each pc generator g has a
     right-multiplication column, entry x the index of x·g.  The columns are
     built whole, from the last generator up, out of the conjugation action
     and the power words of the presentation, with no collection (see
-    ``_columns``).  Every product u·v is one walk of u's index down the
-    columns of v's letters, at most n(p−1) lookups; an inverse walks u down
-    to the identity and a power squares repeatedly.  No product is memoized.
-    Until then products collect word by word.
+    ``_columns``).  Each element y has a walk, the columns of its letters in
+    order, built once per group by last letter (``_walks``), and x·y folds x
+    down y's walk: at most n(p−1) lookups, with no per-letter call.  An
+    inverse walks x down to the identity once and is kept (``_inv``); a
+    commutator [x, y] is three folds, x·y, y·x and then (y·x)^{-1} onto x·y
+    (``_comm``); a power squares.  Tuples are only the public face:
+    each call looks its operands' indices up once and returns one word.
+    Until the group is listed, products collect word by word.
 
     Subgroups are induced pc sequences built by ``subgroup``, so γ₂, the lower
-    central and derived series and the center cost collections, not
-    enumeration.  Every exponent is ``Subgroup.exponent``: exp(HN/N) for a
+    central and derived series and the center cost a closure, not
+    enumeration.  In a listed group the closure queues indices: each term
+    keeps the indices of its powers, a sift left-multiplies by one of them
+    with one fold, and each p-th power and commutator the queue takes is a
+    fold.  Every exponent is ``Subgroup.exponent``: exp(HN/N) for a
     subgroup H and a normal subgroup N, and ``exponent`` asks it of G itself.
     It reads the terms' orders when they commute or when the group is abelian
     or a p-group of class below p (``_regular_by_class``), which also gives
@@ -533,8 +597,8 @@ class PcGroup:
     reads entry y off column m at entry y'.  It
     takes |G|² entries, so only the capped pair sweeps of the law suites and
     the bar oracle ask for it.  In an enumerable p-group, ``pth(x)`` is the
-    index of x^p, filled on demand by walking x's letters p − 1 times down
-    the columns.  A swept exponent steps along it from each element until it
+    index of x^p, filled on demand by folding x down its own walk p − 1
+    times.  A swept exponent steps along it from each element until it
     lands in N (``pth_steps``).  ``power_maps`` composes it into x ↦ x^(p^j)
     for j up to log_p exp(G), and ``element_orders`` reads x's order off
     them; ``power_set`` and the law suites read these two tables.
@@ -583,33 +647,15 @@ class PcGroup:
     def multiply(self, u: NormalWord, v: NormalWord) -> NormalWord:
         if not self._tabled:
             return self.collector.collect(word_of(u) + word_of(v))
-        if v not in self._index:
-            v = self.normalize(word_of(v))
         x = self.position(u)
-        for g, e in enumerate(v):
-            if e:
-                x = self._step(x, g, e)
-        return self._words[x]
-
-    def _step(self, x: int, g: int, e: int) -> int:
-        """Index of (element x)·g^e, e steps down column g."""
-        col = self._columns[g]
-        for _ in range(e):
+        for col in self._walks[self.position(v)]:
             x = col[x]
-        return x
+        return self._words[x]
 
     def inverse(self, u: NormalWord) -> NormalWord:
         if not self._tabled:
             return self.normalize(tuple((g, -e) for g, e in reversed(word_of(u))))
-        # u·g1^k1·g2^k2··· = 1, each ki chosen to clear exponent i
-        x = self.position(u)
-        ks = []
-        for g, o in enumerate(self.pres.relative_orders):
-            e = self._words[x][g]
-            if e:
-                x = self._step(x, g, o - e)
-            ks.append((o - e) % o)
-        return tuple(ks)
+        return self._words[self._inv(self.position(u))]
 
     def power(self, u: NormalWord, k: int) -> NormalWord:
         if k < 0:
@@ -627,10 +673,52 @@ class PcGroup:
         return self.multiply(self.multiply(g, u), self.inverse(g))
 
     def commutator(self, u: NormalWord, v: NormalWord) -> NormalWord:
-        """[u, v] = u v u^{-1} v^{-1}."""
+        """[u, v] = u v u^{-1} v^{-1} = (uv)(vu)^{-1}."""
+        if self._tabled:
+            return self._words[self._comm(self.position(u), self.position(v))]
         uv = self.multiply(u, v)
         vu = self.multiply(v, u)
         return self.multiply(uv, self.inverse(vu))
+
+    # -- arithmetic on the indices of a listed group -----------------------------
+
+    def _times(self, x: int, y: int) -> int:
+        """Index of x·y: x folded down y's walk."""
+        for col in self._walks[y]:
+            x = col[x]
+        return x
+
+    def _inv(self, x: int) -> int:
+        """Index of x^{-1}, filled on first use: x·g1^k1·g2^k2··· walks to the
+        identity, each ki clearing exponent i, and x^{-1} = g1^k1·g2^k2···."""
+        y = self._invs[x]
+        if y < 0:
+            words, columns, strides = self._words, self._columns, self._strides
+            z, y = x, 0
+            for g, o in enumerate(self.pres.relative_orders):
+                e = words[z][g]
+                if e:
+                    col = columns[g]
+                    for _ in range(o - e):
+                        z = col[z]
+                    y += (o - e) * strides[g]
+            self._invs[x] = y
+        return y
+
+    def _comm(self, x: int, y: int) -> int:
+        """Index of [x, y] = (xy)(yx)^{-1}: three folds."""
+        return self._times(self._times(x, y), self._inv(self._times(y, x)))
+
+    def _powers_up_to(self, x: int, k: int) -> list[int]:
+        """Indices of x^0, x^1, ..., x^k, each the last folded down x's walk."""
+        walk = self._walks[x]
+        pows = [0]
+        y = 0
+        for _ in range(k):
+            for col in walk:
+                y = col[y]
+            pows.append(y)
+        return pows
 
     def element_order(self, u: NormalWord, modulo: Optional[Subgroup] = None) -> int:
         """The least k > 0 with u^k in ``modulo`` (the identity when None), by
@@ -652,8 +740,8 @@ class PcGroup:
         return o
 
     def pth(self, x: int) -> int:
-        """Index of (element x)^p in a tabled p-group: x's letters walked
-        p − 1 times down the columns, once per x."""
+        """Index of (element x)^p in a tabled p-group: x folded p − 1 times
+        down its own walk, once per x."""
         table = self._pth
         if table is None:
             if self._walk_prime is None:
@@ -661,11 +749,11 @@ class PcGroup:
             table = self._pth = [-1] * self.order
         y = table[x]
         if y < 0:
-            letters = [(g, e) for g, e in enumerate(self._words[x]) if e]
+            walk = self._walks[x]
             y = x
             for _ in range(self._walk_prime - 1):
-                for g, e in letters:
-                    y = self._step(y, g, e)
+                for col in walk:
+                    y = col[y]
             table[x] = y
         return y
 
@@ -740,6 +828,24 @@ class PcGroup:
         return last
 
     @cached_property
+    def _walks(self) -> list[tuple[list[int], ...]]:
+        """Entry y is the columns that a right multiplication by element y
+        walks, one per letter, g_1 e_1 times, then g_2 e_2 times, and so on:
+        built by last letter, y = y'·g_m with y' = y − stride[m], from
+        walk[y'] and column m."""
+        columns, strides, last = self._columns, self._strides, self._last_letters
+        walks: list[tuple[list[int], ...]] = [()]
+        for y in range(1, self.order):
+            m = last[y]
+            walks.append(walks[y - strides[m]] + (columns[m],))
+        return walks
+
+    @cached_property
+    def _invs(self) -> list[int]:
+        """The inverses' indices that ``_inv`` has filled, −1 elsewhere."""
+        return [-1] * self.order
+
+    @cached_property
     def _columns(self) -> list[list[int]]:
         """The right-multiplication columns: entry x of column g is the index
         of x·g_g.  Column g is built whole from the columns after it.  Write
@@ -801,7 +907,9 @@ class PcGroup:
     @cached_property
     def inverses(self) -> list[int]:
         """inverses[x] is the index of the inverse of element x."""
-        return [row.index(0) for row in self.rows]
+        for x in range(self.order):
+            self._inv(x)
+        return self._invs
 
     def subgroup(
         self, gens: Iterable[NormalWord], conjugators: Sequence[NormalWord] = ()
@@ -811,6 +919,8 @@ class PcGroup:
         sifted; a remainder becomes the term of its depth, normalised to
         leading exponent 1, and queues its p-th power, its commutators with
         the other terms and its commutators with the conjugators."""
+        if self._tabled:
+            return self._subgroup_by_index(gens, conjugators)
         sub = Subgroup(self)
         orders = self.pres.relative_orders
         queue = [self.normalize(word_of(g)) for g in gens]
@@ -824,6 +934,33 @@ class PcGroup:
             queue.extend(self.commutator(t, s) for s in sub.terms.values())
             queue.extend(self.commutator(c, t) for c in conjugators)
             sub.terms[d] = t
+        return sub
+
+    def _subgroup_by_index(
+        self, gens: Iterable[NormalWord], conjugators: Sequence[NormalWord]
+    ) -> Subgroup:
+        """``subgroup`` in a listed group, its queue on indices: the same
+        queue order and the same terms, each kept with its powers."""
+        sub = Subgroup(self)
+        orders, words = self.pres.relative_orders, self._words
+        partners = [self.position(c) for c in conjugators]
+        terms: list[int] = []
+        queue = [self.position(g) for g in gens]
+        while queue:
+            x = sub._sift(queue.pop())
+            if not x:
+                continue
+            w = words[x]
+            d = next(i for i, e in enumerate(w) if e)
+            o = orders[d]
+            t = self._powers_up_to(x, pow(w[d], -1, o))[-1]
+            pows = self._powers_up_to(t, o)
+            queue.append(pows.pop())
+            queue.extend(self._comm(t, s) for s in terms)
+            queue.extend(self._comm(c, t) for c in partners)
+            sub.terms[d] = words[t]
+            sub._powers[d] = pows
+            terms.append(t)
         return sub
 
     def full_subgroup(self) -> Subgroup:

@@ -96,6 +96,17 @@ def test_verify_json(capsys):
     assert all(g["order"] <= 16 for g in doc["groups"])
 
 
+def test_outputs_match_the_benchmark_reference(catalog_run, capsys):
+    # the reference outputs are the stdout of ``schurlab verify --format json``
+    # over the bundle and of ``schurlab identities``; print adds the newline
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+    expected = (reference / "verify_bundle.json").read_bytes()
+    assert (catalog_run(1).render("json") + "\n").encode() == expected
+    code, out, _ = run_cli(["identities"], capsys)
+    assert code == 0
+    assert out.encode() == (reference / "identities.txt").read_bytes()
+
+
 def test_verify_rule_selection(capsys):
     code, out, _ = run_cli(
         ["verify", "--max-order", "9", "--rules", "R13", "--format", "csv"], capsys

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import tracemalloc
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,94 @@ def test_inconsistent_presentation_rejected():
         PcGroup(bad)
 
 
+def _splice_collect(collector, letters, tails=None):
+    """Collection from the left by splicing one list at a cursor, which
+    backs up one position after each rewrite: the reference that
+    ``Collector.collect``'s rewrite sequence, and so every tail count, is
+    pinned to."""
+    orders, power_words = collector.orders, collector.power_words
+    comm_words, comm_tail = collector.comm_words, collector.comm_tail_index
+
+    def push_inverse(g, out):
+        out.append([g, orders[g] - 1])
+        for h, e in reversed(power_words[g]):
+            for _ in range(e):
+                push_inverse(h, out)
+        if tails is not None:
+            tails[g] -= 1
+
+    buf = []
+    for g, e in letters:
+        if e > 0:
+            buf.append([g, e])
+        for _ in range(-e):
+            push_inverse(g, buf)
+    i = 0
+    while i < len(buf):
+        g, e = buf[i]
+        if i + 1 < len(buf) and buf[i + 1][0] == g:
+            buf[i][1] = e + buf[i + 1][1]
+            del buf[i + 1]
+            continue
+        if e >= orders[g]:
+            repl = [[g, e - orders[g]]] if e - orders[g] else []
+            repl.extend([h, ee] for h, ee in power_words[g])
+            buf[i : i + 1] = repl
+            if tails is not None:
+                tails[g] += 1
+            i = max(i - 1, 0)
+            continue
+        if i + 1 < len(buf) and buf[i + 1][0] < g:
+            g2, e2 = buf[i + 1]
+            repl = [[g, e - 1]] if e - 1 else []
+            repl += [[g2, 1], [g, 1]] + [[h, ee] for h, ee in comm_words.get((g, g2), ())]
+            repl += [[g2, e2 - 1]] if e2 - 1 else []
+            buf[i : i + 2] = repl
+            if tails is not None:
+                tails[comm_tail[(g, g2)]] += 1
+            i = max(i - 1, 0)
+            continue
+        i += 1
+    exps = [0] * collector.n
+    for g, e in buf:
+        exps[g] = e
+    return tuple(exps)
+
+
+def _collector_cases(bundled):
+    """Every bundled presentation, the covers of order <= 256, D8 x C3 and
+    the inconsistent presentation of ``test_inconsistent_presentation_rejected``."""
+    for _name, entry in sorted(bundled.items()):
+        yield entry.presentation
+        if entry.order <= 256:
+            cover = schur_cover(entry.presentation).cover
+            if cover.order <= 256:
+                yield cover
+    yield d8_x_c3()
+    yield make_presentation("bad", [2, 2, 3], comm_words={(1, 0): ((2, 1),)}, prime=None)
+
+
+def test_collector_rewrites_as_the_list_splicing_reference(bundled):
+    rng = random.Random(24)
+    for pres in _collector_cases(bundled):
+        collector = pres.collector
+        for _ in range(40):
+            letters = [
+                (rng.randrange(pres.ngens), rng.choice((-2, -1, 1, 1, 2, 3)))
+                for _ in range(rng.randint(0, 9))
+            ]
+            expected_tails = defaultdict(int)
+            expected = _splice_collect(collector, letters, expected_tails)
+            expected_tails = {k: v for k, v in expected_tails.items() if v}
+            dense = [0] * collector.ntails
+            assert collector.collect(letters, dense) == expected, (pres.name, letters)
+            assert {k: v for k, v in enumerate(dense) if v} == expected_tails, (pres.name, letters)
+            sparse = defaultdict(int)
+            assert collector.collect(letters, sparse) == expected, (pres.name, letters)
+            assert {k: v for k, v in sparse.items() if v} == expected_tails, (pres.name, letters)
+            assert collector.collect(letters) == expected, (pres.name, letters)
+
+
 @given(st.lists(st.tuples(st.integers(0, 2), st.integers(-5, 5)), max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_normalize_idempotent(letters):
@@ -90,7 +179,9 @@ def _inverse_word(u):
 
 
 def _assert_arithmetic_matches_collection(group, rng, samples):
-    """multiply, inverse and power agree with collecting the words directly."""
+    """multiply, inverse, power and commutator agree with collecting the
+    words directly, and membership in a cyclic subgroup <v> agrees with the
+    powers of v, each collected from the one before."""
     collect = Collector(group.pres).collect
     for _ in range(samples):
         u, v = _random_element(group, rng), _random_element(group, rng)
@@ -99,16 +190,32 @@ def _assert_arithmetic_matches_collection(group, rng, samples):
         k = rng.randrange(-20, 21)
         letters = word_of(u) * k if k >= 0 else _inverse_word(u) * -k
         assert group.power(u, k) == collect(letters), (u, k)
+        uv_vu = word_of(u) + word_of(v) + _inverse_word(u) + _inverse_word(v)
+        assert group.commutator(u, v) == collect(uv_vu), (u, v)
+    for _ in range(max(samples // 20, 2)):
+        v = _random_element(group, rng)
+        powers, w = {group.identity}, collect(word_of(v))
+        while w != group.identity:
+            powers.add(w)
+            w = collect(word_of(w) + word_of(v))
+        sub = group.subgroup([v])
+        assert sub.order == len(powers), v
+        assert all(w in sub and sub.sift(w) == group.identity for w in powers), v
+        for _ in range(samples // 4):
+            u = _random_element(group, rng)
+            assert (u in sub) == (u in powers), (u, v)
 
 
 def test_table_arithmetic_matches_collection(bundled):
     rng = random.Random(1)
     small = [e.presentation for e in bundled.values() if e.order <= 81]
-    for pres in small + [bundled["modular_625"].presentation]:
+    for pres in small + [bundled["modular_625"].presentation, d8_x_c3()]:
         _assert_arithmetic_matches_collection(PcGroup(pres), rng, 100)
     cover = schur_cover(bundled["heisenberg_3_x_c3"].presentation).group
-    assert cover.order == 6561
-    _assert_arithmetic_matches_collection(cover, rng, 300)
+    assert cover.order == 6561 > TABLE_ORDER and not cover._tabled
+    _assert_arithmetic_matches_collection(cover, rng, 300)  # by collection
+    cover.elements()
+    _assert_arithmetic_matches_collection(cover, rng, 300)  # by index
 
 
 def test_multiply_keeps_no_per_pair_state(bundled):
@@ -461,6 +568,80 @@ def test_subgroup_matches_closure(bundled, closure):
         for a, a_members in subs:
             for b, b_members in subs:
                 assert (a <= b) == (a_members <= b_members), name
+
+
+def _structure_references(ref, closure, sweeps):
+    """γ₂, the lower central and derived series, the center and G^p of the
+    listed group ``ref``, each an enumerated set of members: normal closures
+    and closures by breadth-first search, and the sweeps of ``conftest``."""
+    gens = ref.generators()
+    comms = {ref.commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1:]}
+    gamma2 = _normal_closure(ref, sorted(comms), gens, closure)
+    lower, derived = [frozenset(ref.elements()), gamma2], [frozenset(ref.elements()), gamma2]
+    while len(lower[-1]) > 1:
+        comms = {ref.commutator(x, g) for x in lower[-1] for g in gens}
+        lower.append(_normal_closure(ref, sorted(comms), gens, closure))
+    while len(derived[-1]) > 1:
+        # the commutators of a normal subgroup D form a normal set, so they
+        # generate [D, D]
+        derived.append(closure(ref, sorted({ref.commutator(x, y) for x in derived[-1]
+                                             for y in derived[-1]})))
+    p = ref.pres.prime
+    power = None if p is None else closure(ref, sorted({ref.power(w, p) for w in ref.elements()}))
+    return {"gamma2": gamma2, "lower": lower, "derived": derived,
+            "center": sweeps.center(ref), "power": power}
+
+
+def _assert_subgroup_matches(sub, members, words):
+    """``sub`` has the order and members of ``members``, and membership of
+    ``words`` agrees with it."""
+    name = sub.group.pres.name
+    assert sub.order == len(members), name
+    assert [w in sub for w in words] == [w in members for w in words], name
+    assert sub.elements == members, name
+
+
+def _assert_series_match(group, refs, words):
+    """γ₂, the center and the lower central and derived series of ``group``
+    match their references."""
+    series = [(group.gamma2, refs["gamma2"]), (group.center(), refs["center"])]
+    series += zip(group.lower_central_series(), refs["lower"], strict=True)
+    series += zip(group.derived_series(), refs["derived"], strict=True)
+    for sub, members in series:
+        _assert_subgroup_matches(sub, members, words)
+
+
+def test_index_structure_matches_enumeration(bundled, closure, sweeps):
+    """The structure computed on indices (listed groups) and by collection
+    (the 3^8 cover before it is listed) equals the enumerated references."""
+    cases = [e.presentation for e in bundled.values() if e.order <= 81]
+    cases += [bundled["modular_625"].presentation, d8_x_c3()]
+    rng = random.Random(7)
+    for pres in cases:
+        group, ref = PcGroup(pres), PcGroup(pres)
+        refs = _structure_references(ref, closure, sweeps)
+        _assert_series_match(group, refs, ref.elements())
+        if pres.prime is not None:
+            p, elems = pres.prime, group.elements()
+            _assert_subgroup_matches(group.power_subgroup(p), refs["power"], elems)
+            assert [elems[group.pth(x)] for x in range(group.order)] == [
+                ref.power(u, p) for u in elems], pres.name
+    cover_pres = schur_cover(bundled["heisenberg_3_x_c3"].presentation).cover
+    ref = PcGroup(cover_pres)
+    refs = _structure_references(ref, closure, sweeps)
+    words = rng.sample(ref.elements(), 60) + rng.sample(sorted(refs["center"]), 20)
+    before = PcGroup(cover_pres)
+    assert before.order == 6561 > TABLE_ORDER
+    _assert_series_match(before, refs, words)
+    assert not before._tabled  # closures, sifts and elements all by collection
+    # G^3 last: the cover is not regular by class, so G^3 lists it for the power set
+    _assert_subgroup_matches(before.power_subgroup(3), refs["power"], words)
+    after = PcGroup(cover_pres)
+    elems = after.elements()
+    _assert_series_match(after, refs, words)
+    _assert_subgroup_matches(after.power_subgroup(3), refs["power"], words)
+    for x in rng.sample(range(after.order), 500):
+        assert elems[after.pth(x)] == ref.power(elems[x], 3)
 
 
 def test_subgroup_order_and_membership_enumerate_nothing(monkeypatch):

@@ -1,6 +1,7 @@
-"""Time ``record_for``, the bar oracle, the identity checks or start-up; print JSON.
+"""Time ``record_for``, its stages, the bar oracle, the identity checks or start-up; print JSON.
 
-    PYTHONPATH=src python tools/time_groups.py [--repeat 3] [--bar | --identities | --setup]
+    PYTHONPATH=src python tools/time_groups.py [--repeat 3]
+        [--stages | --bar | --identities | --setup]
 
 Each timing starts from a fresh ``PcPresentation`` (the same fields, none of
 its cached collector, overlap run or group) with ``group_of``'s cache
@@ -10,6 +11,14 @@ instead: ``bar_homology`` in degree 2 on the Cayley table of each group of
 order at most ``ORACLE_HARD_CAP``, the table built before the timing.  A
 group's figure is the best of ``--repeat`` timings, in seconds; ``sum_s``
 adds them up.
+
+With ``--stages`` it times the stages of that first ``verify`` apart, on
+the same fresh presentation in order: G's overlap run (``overlaps``),
+``classify`` (with the group's construction), ``run_suites``,
+``schur_cover`` and ``exterior_exponent``; ``snf`` and
+``cover_consistency`` (the cover's overlap run) are the parts of
+``schur_cover`` spent in those two.  Each stage's figure is its best of
+``--repeat``; ``sum_s`` adds each stage up over the groups.
 
 With ``--identities`` it times ``verify_collection_lemma`` at its default
 ``n_max`` on each lemma instead, with the ``alpha`` and class-5 factor
@@ -28,6 +37,7 @@ then reads them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import json
@@ -43,11 +53,24 @@ import warnings
 from pathlib import Path
 
 import schurlab
+from schurlab import multiplier, pcgroup
 from schurlab.catalog import load_bundled
 from schurlab.identities import LEMMA_IDS, _l41_layers, alpha, verify_collection_lemma
-from schurlab.multiplier import ORACLE_HARD_CAP, bar_homology, multiplication_table
+from schurlab.multiplier import (
+    ORACLE_HARD_CAP,
+    bar_homology,
+    exterior_exponent,
+    multiplication_table,
+    schur_cover,
+)
 from schurlab.pcgroup import group_of
+from schurlab.suites import run_suites
 from schurlab.verifier import record_for
+
+STAGES = (
+    "overlaps", "classify", "run_suites", "schur_cover", "snf", "cover_consistency",
+    "exterior_exponent",
+)
 
 
 def time_group(pres, repeat: int) -> float:
@@ -60,6 +83,51 @@ def time_group(pres, repeat: int) -> float:
         record_for(fresh)
         best = min(best, time.perf_counter() - start)
     return best
+
+
+@contextlib.contextmanager
+def timing(owner, name: str, spent: dict[str, float], stage: str):
+    """Add the time of every call to ``owner.name`` to ``spent[stage]``."""
+    original = getattr(owner, name)
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            spent[stage] += time.perf_counter() - start
+
+    setattr(owner, name, timed)
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
+def time_stages(pres, repeat: int) -> dict[str, float]:
+    best = dict.fromkeys(STAGES, float("inf"))
+    for _ in range(repeat):
+        fresh = dataclasses.replace(pres)
+        group_of.cache_clear()
+        gc.collect()
+        spent = dict.fromkeys(STAGES, 0.0)
+
+        def clock(stage, run, *args):
+            start = time.perf_counter()
+            result = run(*args)
+            spent[stage] = time.perf_counter() - start
+            return result
+
+        clock("overlaps", lambda: fresh.overlaps)
+        flags = clock("classify", lambda: group_of(fresh).classify())
+        clock("run_suites", run_suites, group_of(fresh), flags)
+        # G's consistency check is cached by now: only the cover's is timed
+        with timing(multiplier, "snf", spent, "snf"), \
+                timing(pcgroup, "check_consistency", spent, "cover_consistency"):
+            cover = clock("schur_cover", schur_cover, fresh)
+        clock("exterior_exponent", exterior_exponent, fresh, cover)
+        best = {stage: min(best[stage], spent[stage]) for stage in STAGES}
+    return {stage: round(t, 6) for stage, t in best.items()}
 
 
 def time_bar(pres, repeat: int) -> float:
@@ -137,6 +205,8 @@ def main(argv=None) -> int:
                         help="timings per group or lemma, or per start-up state "
                         "(default 3)")
     what = parser.add_mutually_exclusive_group()
+    what.add_argument("--stages", action="store_true",
+                      help="time the stages of record_for apart, per group")
     what.add_argument("--bar", action="store_true",
                       help="time bar_homology in degree 2 on the groups it accepts")
     what.add_argument("--identities", action="store_true",
@@ -154,6 +224,13 @@ def main(argv=None) -> int:
     }
     if args.setup:
         report.update(timed="setup", states=time_setup(args.repeat))
+    elif args.stages:
+        entries = sorted(load_bundled(), key=lambda e: e.name)
+        groups = {e.name: time_stages(e.presentation, args.repeat) for e in entries}
+        report.update(timed="stages", stages=list(STAGES),
+                      sum_s={stage: round(sum(g[stage] for g in groups.values()), 6)
+                             for stage in STAGES},
+                      groups=groups)
     elif args.identities:
         lemmas = time_identities(args.repeat)
         report.update(timed="verify_collection_lemma",
