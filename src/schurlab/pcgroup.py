@@ -9,9 +9,9 @@ orders o_i, and relations
 Elements are normal words: exponent tuples (e_1..e_n) with 0 <= e_i < o_i.
 Words are collected from the left.  The collector counts one central integer
 "tail" per relation when asked to; that powers the Schur-multiplier
-computation in the multiplier module.  A listed group computes on element
-indices, down tables read off the relations, with no collection (see
-``PcGroup``).
+computation in the multiplier module.  Group arithmetic is written once over
+element handles: indices walked down tables read off the relations in a
+listed group, normal words collected otherwise (see ``PcGroup``).
 
 A ``PcPresentation`` is valid by construction: it checks its own orders,
 declared prime and relation words once, when it is made, and a failure names
@@ -43,7 +43,7 @@ DEFAULT_CAP = 200_000
 # 70-330 ns a column entry); a product walked down the columns takes 2-8
 # microseconds, where collecting a random pair of normal words takes 20-170.
 # Up to this order the few thousand products of ``classify`` repay the list,
-# so a group lists itself at its first product; a larger one collects until
+# so a group lists itself when it is made; a larger one collects until
 # something sweeps it.  At 65,536 the record of abelian_3_3_3_3 would list
 # its cover of order 3^10 and take 0.07 s instead of 0.013 s.
 TABLE_ORDER = 4096
@@ -421,15 +421,18 @@ class Subgroup:
     The members are the products t^e t'^e' ··· of the terms in order of
     depth, each e below the relative order at its depth, so those orders
     multiply to the order.  Membership sifts; only ``elements`` enumerates.
-    In a listed group both run on element indices: ``_powers[d]`` holds the
-    indices of t^0, ..., t^(o−1) for the term t of depth d."""
+    Both run on the group's handles: ``_powers[listed][d]`` holds those of
+    t^0, ..., t^(o−1) for the term t of depth d, apart before and after the
+    group is listed, as listing changes what a handle is."""
 
     group: "PcGroup"
     terms: dict[int, NormalWord] = field(default_factory=dict)
     _exponents: dict[Optional["Subgroup"], int] = field(
         default_factory=dict, init=False, repr=False
     )
-    _powers: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False)
+    _powers: tuple[dict[int, list], dict[int, list]] = field(
+        default_factory=lambda: ({}, {}), init=False, repr=False
+    )
 
     @property
     def order(self) -> int:
@@ -440,48 +443,38 @@ class Subgroup:
         """w with its exponents cleared in order by powers of the terms on the
         left, up to a depth with no term: the identity exactly on members."""
         group = self.group
-        if group._tabled:
-            return group._words[self._sift(group.position(w))]
-        for d, o in enumerate(group.pres.relative_orders):
-            if w[d]:
-                t = self.terms.get(d)
-                if t is None:
-                    break
-                w = group.multiply(group.power(t, o - w[d]), w)
-        return w
+        return group._word_of[self._sift(group._handle_of[w])]
 
-    def _sift(self, x: int) -> int:
-        """``sift`` on the index x of a listed group: clearing exponent e at
-        depth d folds x's walk onto the index of t^(o−e)."""
+    def _sift(self, x):
+        """``sift`` on the handle x: clearing exponent e at depth d folds x's
+        walk onto the handle of t^(o−e)."""
         group = self.group
-        words, walks = group._words, group._walks
+        word, walk = group._word_of, group._walk_of
         for d, o in enumerate(group.pres.relative_orders):
-            e = words[x][d]
+            e = word[x][d]
             if e:
                 pows = self._term_powers(d)
                 if pows is None:
                     break
                 y = pows[o - e]
-                for col in walks[x]:
+                for col in walk[x]:
                     y = col[y]
                 x = y
         return x
 
-    def _term_powers(self, d: int) -> Optional[list[int]]:
-        """``_powers[d]``, filled from ``terms`` the first time; None when no
-        term has depth d."""
-        pows = self._powers.get(d)
+    def _term_powers(self, d: int) -> Optional[list]:
+        """The powers of the term of depth d, filled from ``terms`` the first
+        time for the group's handles; None when no term has depth d."""
+        group = self.group
+        powers = self._powers[group._tabled]
+        pows = powers.get(d)
         if pows is None and d in self.terms:
-            group = self.group
-            t, o = group.position(self.terms[d]), group.pres.relative_orders[d]
-            pows = self._powers[d] = group._powers_up_to(t, o - 1)
+            t, o = group._handle_of[self.terms[d]], group.pres.relative_orders[d]
+            pows = powers[d] = group._powers_up_to(t, o - 1)
         return pows
 
     def __contains__(self, w: NormalWord) -> bool:
-        group = self.group
-        if group._tabled:
-            return self._sift(group.position(w)) == 0
-        return self.sift(w) == group.identity
+        return self.sift(w) == self.group.identity
 
     def __le__(self, other: "Subgroup") -> bool:
         return all(t in other for t in self.terms.values())
@@ -497,17 +490,10 @@ class Subgroup:
             raise EnumerationCapExceeded(
                 f"{group.pres.name}: subgroup order {self.order} exceeds cap {DEFAULT_CAP}"
             )
-        if group._tabled:
-            members = [0]
-            for d in sorted(self.terms, reverse=True):
-                members = [group._times(x, y) for x in self._term_powers(d) for y in members]
-            return frozenset(map(group._words.__getitem__, members))
-        members = [group.identity]
+        members = [group._one]
         for d in sorted(self.terms, reverse=True):
-            t, o = self.terms[d], group.pres.relative_orders[d]
-            powers = [group.power(t, e) for e in range(o)]
-            members = [group.multiply(x, y) for x in powers for y in members]
-        return frozenset(members)
+            members = [group._times(x, y) for x in self._term_powers(d) for y in members]
+        return frozenset(map(group._word_of.__getitem__, members))
 
     @cached_property
     def _abelian(self) -> bool:
@@ -546,6 +532,34 @@ class Subgroup:
         return e
 
 
+class _Same:
+    """Word to handle and back in a group that is not listed: w itself."""
+
+    def __getitem__(self, w: NormalWord) -> NormalWord:
+        return w
+
+
+class _CollectedWalks:
+    """The walks of a group that is not listed: the walk of y is one step,
+    a ``_RightProduct``, whose entry x is x·y, collected."""
+
+    def __init__(self, collector: Collector):
+        self.collector = collector
+
+    def __getitem__(self, y: NormalWord) -> tuple["_RightProduct"]:
+        return (_RightProduct(self.collector, word_of(y)),)
+
+
+class _RightProduct:
+    __slots__ = ("collector", "letters")
+
+    def __init__(self, collector: Collector, letters: Word):
+        self.collector, self.letters = collector, letters
+
+    def __getitem__(self, x: NormalWord) -> NormalWord:
+        return self.collector.collect(word_of(x) + self.letters)
+
+
 @dataclass(frozen=True)
 class GroupFlags:
     nilpotency_class: int
@@ -563,28 +577,29 @@ class PcGroup:
     """Arithmetic and structure for one consistent pc presentation.
 
     ``elements()`` lists the normal words lexicographically, at most
-    ``DEFAULT_CAP`` of them.  From the first product in a group of order at
-    most ``TABLE_ORDER``, and from that list on in a larger group, the group
-    computes on element indices (Leedham-Green–Soicher, "Collection from the
-    left and other strategies", JSC 9, 1990): each pc generator g has a
-    right-multiplication column, entry x the index of x·g.  The columns are
-    built whole, from the last generator up, out of the conjugation action
-    and the power words of the presentation, with no collection (see
-    ``_columns``).  Each element y has a walk, the columns of its letters in
-    order, built once per group by last letter (``_walks``), and x·y folds x
-    down y's walk: at most n(p−1) lookups, with no per-letter call.  An
-    inverse walks x down to the identity once and is kept (``_inv``); a
-    commutator [x, y] is three folds, x·y, y·x and then (y·x)^{-1} onto x·y
-    (``_comm``); a power squares.  Tuples are only the public face:
-    each call looks its operands' indices up once and returns one word.
-    Until the group is listed, products collect word by word.
+    ``DEFAULT_CAP`` of them.  Every algorithm is written once, on handles:
+    an element's index in a listed group, its normal word otherwise; tuples
+    are only the public face, each call converting its operands once.  A
+    group of order at most ``TABLE_ORDER`` is listed when it is made, a
+    larger one once something sweeps it.  In a listed group (Leedham-Green–
+    Soicher, "Collection from the left and other strategies", JSC 9, 1990)
+    each pc generator g has a right-multiplication column, entry x the index
+    of x·g.  The columns are built whole, from the last generator up, out of
+    the conjugation action and the power words of the presentation, with no
+    collection (see ``_columns``).  Each element y has a walk, the columns
+    of its letters in order, built once per group by last letter
+    (``_walks``), and x·y folds x down y's walk: at most n(p−1) lookups,
+    with no per-letter call.  Otherwise the walk of y is one step, which
+    collects x's letters and y's.  An inverse is walked to the identity
+    once and kept, or collected (``_inv``); a commutator [x, y] is x·y, y·x
+    and then (y·x)^{-1} onto x·y (``_comm``); a power squares.
 
     Subgroups are induced pc sequences built by ``subgroup``, so γ₂, the lower
     central and derived series and the center cost a closure, not
-    enumeration.  In a listed group the closure queues indices: each term
-    keeps the indices of its powers, a sift left-multiplies by one of them
-    with one fold, and each p-th power and commutator the queue takes is a
-    fold.  Every exponent is ``Subgroup.exponent``: exp(HN/N) for a
+    enumeration.  The closure queues handles: each term keeps the handles of
+    its powers, a sift left-multiplies by one of them with one fold down
+    the remainder's walk, and the queue takes each term's p-th power and
+    commutators.  Every exponent is ``Subgroup.exponent``: exp(HN/N) for a
     subgroup H and a normal subgroup N, and ``exponent`` asks it of G itself.
     It reads the terms' orders when they commute or when the group is abelian
     or a p-group of class below p (``_regular_by_class``), which also gives
@@ -610,8 +625,11 @@ class PcGroup:
         self.pres = pres
         self.collector = pres.collector
         self.identity: NormalWord = (0,) * pres.ngens
-        # whether products walk the index tables (see ``TABLE_ORDER``)
-        self._tabled = pres.order <= TABLE_ORDER
+        # a handle is the normal word itself until the group is listed, at
+        # construction when small (see ``TABLE_ORDER``)
+        self._tabled, self._one = False, self.identity
+        self._handle_of = self._word_of = _Same()
+        self._walk_of = _CollectedWalks(self.collector)
         self._pth: Optional[list[int]] = None
         self._power_sets: dict[int, frozenset[NormalWord]] = {}
         self._power_subgroups: dict[int, Subgroup] = {}
@@ -622,8 +640,10 @@ class PcGroup:
             if pres.order <= DEFAULT_CAP and len(self._order_prime_factors) == 1
             else None
         )
+        if pres.order <= TABLE_ORDER:
+            self.elements()
 
-    # -- basic arithmetic ---------------------------------------------------
+    # -- arithmetic -----------------------------------------------------------
 
     @property
     def order(self) -> int:
@@ -645,17 +665,11 @@ class PcGroup:
         return self.collector.collect(letters)
 
     def multiply(self, u: NormalWord, v: NormalWord) -> NormalWord:
-        if not self._tabled:
-            return self.collector.collect(word_of(u) + word_of(v))
-        x = self.position(u)
-        for col in self._walks[self.position(v)]:
-            x = col[x]
-        return self._words[x]
+        handle = self._handle_of
+        return self._word_of[self._times(handle[u], handle[v])]
 
     def inverse(self, u: NormalWord) -> NormalWord:
-        if not self._tabled:
-            return self.normalize(tuple((g, -e) for g, e in reversed(word_of(u))))
-        return self._words[self._inv(self.position(u))]
+        return self._word_of[self._inv(self._handle_of[u])]
 
     def power(self, u: NormalWord, k: int) -> NormalWord:
         if k < 0:
@@ -674,23 +688,27 @@ class PcGroup:
 
     def commutator(self, u: NormalWord, v: NormalWord) -> NormalWord:
         """[u, v] = u v u^{-1} v^{-1} = (uv)(vu)^{-1}."""
-        if self._tabled:
-            return self._words[self._comm(self.position(u), self.position(v))]
-        uv = self.multiply(u, v)
-        vu = self.multiply(v, u)
-        return self.multiply(uv, self.inverse(vu))
+        handle = self._handle_of
+        return self._word_of[self._comm(handle[u], handle[v])]
 
-    # -- arithmetic on the indices of a listed group -----------------------------
+    # -- arithmetic on handles -------------------------------------------------
+    # Only ``_inv`` and the tables that listing sets tell handles apart:
+    # ``_handle_of`` (word to handle), ``_word_of`` (handle to word) and
+    # ``_walk_of`` (entry y the steps that take x to x·y, each x = step[x]).
 
-    def _times(self, x: int, y: int) -> int:
-        """Index of x·y: x folded down y's walk."""
-        for col in self._walks[y]:
+    def _times(self, x, y):
+        """Handle of x·y: x folded down y's walk."""
+        for col in self._walk_of[y]:
             x = col[x]
         return x
 
-    def _inv(self, x: int) -> int:
-        """Index of x^{-1}, filled on first use: x·g1^k1·g2^k2··· walks to the
-        identity, each ki clearing exponent i, and x^{-1} = g1^k1·g2^k2···."""
+    def _inv(self, x):
+        """Handle of x^{-1}.  Until the group is listed it collects the
+        inverted letters; in a listed group it is filled on first use:
+        x·g1^k1·g2^k2··· walks to the identity, each ki clearing exponent i,
+        and x^{-1} = g1^k1·g2^k2···."""
+        if not self._tabled:
+            return self.normalize(tuple((g, -e) for g, e in reversed(word_of(x))))
         y = self._invs[x]
         if y < 0:
             words, columns, strides = self._words, self._columns, self._strides
@@ -705,15 +723,15 @@ class PcGroup:
             self._invs[x] = y
         return y
 
-    def _comm(self, x: int, y: int) -> int:
-        """Index of [x, y] = (xy)(yx)^{-1}: three folds."""
+    def _comm(self, x, y):
+        """Handle of [x, y] = (xy)(yx)^{-1}: three products and an inverse."""
         return self._times(self._times(x, y), self._inv(self._times(y, x)))
 
-    def _powers_up_to(self, x: int, k: int) -> list[int]:
-        """Indices of x^0, x^1, ..., x^k, each the last folded down x's walk."""
-        walk = self._walks[x]
-        pows = [0]
-        y = 0
+    def _powers_up_to(self, x, k: int) -> list:
+        """Handles of x^0, x^1, ..., x^k, each the last folded down x's walk."""
+        walk = self._walk_of[x]
+        y = self._one
+        pows = [y]
         for _ in range(k):
             for col in walk:
                 y = col[y]
@@ -740,7 +758,7 @@ class PcGroup:
         return o
 
     def pth(self, x: int) -> int:
-        """Index of (element x)^p in a tabled p-group: x folded p − 1 times
+        """Index of (element x)^p in a listed p-group: x folded p − 1 times
         down its own walk, once per x."""
         table = self._pth
         if table is None:
@@ -792,7 +810,11 @@ class PcGroup:
             raise EnumerationCapExceeded(
                 f"{self.pres.name}: order {self.order} exceeds cap {DEFAULT_CAP}"
             )
-        self._tabled = True
+        if not self._tabled:
+            # from here on a handle is an element's index; ``_invs`` holds the
+            # inverses' indices that ``_inv`` has filled, −1 elsewhere
+            self._tabled, self._one, self._invs = True, 0, [-1] * self.order
+            self._handle_of, self._word_of, self._walk_of = self._index, self._words, self._walks
         return self._words
 
     def position(self, w: NormalWord) -> int:
@@ -839,11 +861,6 @@ class PcGroup:
             m = last[y]
             walks.append(walks[y - strides[m]] + (columns[m],))
         return walks
-
-    @cached_property
-    def _invs(self) -> list[int]:
-        """The inverses' indices that ``_inv`` has filled, −1 elsewhere."""
-        return [-1] * self.order
 
     @cached_property
     def _columns(self) -> list[list[int]]:
@@ -907,6 +924,7 @@ class PcGroup:
     @cached_property
     def inverses(self) -> list[int]:
         """inverses[x] is the index of the inverse of element x."""
+        self.elements()
         for x in range(self.order):
             self._inv(x)
         return self._invs
@@ -915,42 +933,21 @@ class PcGroup:
         self, gens: Iterable[NormalWord], conjugators: Sequence[NormalWord] = ()
     ) -> Subgroup:
         """<gens>, closed under conjugation by ``conjugators`` too (the normal
-        closure of ``gens`` in <gens, conjugators>).  Each queued word is
-        sifted; a remainder becomes the term of its depth, normalised to
-        leading exponent 1, and queues its p-th power, its commutators with
-        the other terms and its commutators with the conjugators."""
-        if self._tabled:
-            return self._subgroup_by_index(gens, conjugators)
+        closure of ``gens`` in <gens, conjugators>), on handles.  Each queued
+        element is sifted; a remainder becomes the term of its depth,
+        normalised to leading exponent 1 and kept with its powers, and queues
+        its p-th power, its commutators with the other terms and its
+        commutators with the conjugators."""
         sub = Subgroup(self)
-        orders = self.pres.relative_orders
-        queue = [self.normalize(word_of(g)) for g in gens]
-        while queue:
-            w = sub.sift(queue.pop())
-            if w == self.identity:
-                continue
-            d = next(i for i, e in enumerate(w) if e)
-            t = self.power(w, pow(w[d], -1, orders[d]))
-            queue.append(self.power(t, orders[d]))
-            queue.extend(self.commutator(t, s) for s in sub.terms.values())
-            queue.extend(self.commutator(c, t) for c in conjugators)
-            sub.terms[d] = t
-        return sub
-
-    def _subgroup_by_index(
-        self, gens: Iterable[NormalWord], conjugators: Sequence[NormalWord]
-    ) -> Subgroup:
-        """``subgroup`` in a listed group, its queue on indices: the same
-        queue order and the same terms, each kept with its powers."""
-        sub = Subgroup(self)
-        orders, words = self.pres.relative_orders, self._words
-        partners = [self.position(c) for c in conjugators]
-        terms: list[int] = []
-        queue = [self.position(g) for g in gens]
+        orders, word, handle = self.pres.relative_orders, self._word_of, self._handle_of
+        partners = [handle[c] for c in conjugators]
+        terms: list = []
+        queue = [handle[g] for g in gens]
         while queue:
             x = sub._sift(queue.pop())
-            if not x:
+            if x == self._one:
                 continue
-            w = words[x]
+            w = word[x]
             d = next(i for i, e in enumerate(w) if e)
             o = orders[d]
             t = self._powers_up_to(x, pow(w[d], -1, o))[-1]
@@ -958,8 +955,8 @@ class PcGroup:
             queue.append(pows.pop())
             queue.extend(self._comm(t, s) for s in terms)
             queue.extend(self._comm(c, t) for c in partners)
-            sub.terms[d] = words[t]
-            sub._powers[d] = pows
+            sub.terms[d] = word[t]
+            sub._powers[self._tabled][d] = pows
             terms.append(t)
         return sub
 
@@ -1187,14 +1184,12 @@ class PcGroup:
                     condition1_m = m
                     break
             condition2 = self.gamma(p) <= self.power_subgroup(p * p)
-            n = 0
             e = central_exp
             while e > 1:
                 if e % p:
                     raise PcError(f"{self.pres.name}: central quotient exponent not a p-power")
                 e //= p
-                n += 1
-            central_pn = n
+                central_pn += 1
 
         return GroupFlags(
             nilpotency_class=cls,

@@ -10,6 +10,8 @@ regardless of worker count.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -311,18 +313,20 @@ class RunResult:
                 {"groups": self.records, "summary": self.summary}, indent=2
             )
         if fmt == "csv":
-            lines = ["group,order,rule,status,witness"]
+            # the writer quotes a field that needs it, such as a group name
+            # with a comma; witnesses and errors keep theirs as semicolons
+            out = io.StringIO()
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(["group", "order", "rule", "status", "witness"])
             for rec in self.records:
                 if "error" in rec:
                     error = rec["error"].replace(",", ";")
-                    lines.append(f"{rec['name']},{rec['order']},,error,{error}")
+                    writer.writerow([rec["name"], rec["order"], "", "error", error])
                     continue
                 for rule, res in rec["rules"].items():
                     witness = (res["witness"] or "").replace(",", ";")
-                    lines.append(
-                        f"{rec['name']},{rec['order']},{rule},{res['status']},{witness}"
-                    )
-            return "\n".join(lines)
+                    writer.writerow([rec["name"], rec["order"], rule, res["status"], witness])
+            return out.getvalue().removesuffix("\n")
         lines = []
         for rec in self.records:
             if "error" in rec:

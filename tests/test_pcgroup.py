@@ -634,8 +634,11 @@ def test_index_structure_matches_enumeration(bundled, closure, sweeps):
     assert before.order == 6561 > TABLE_ORDER
     _assert_series_match(before, refs, words)
     assert not before._tabled  # closures, sifts and elements all by collection
+    assert not {"_words", "_walks", "_columns", "_index"} & set(vars(before))  # no tables built
     # G^3 last: the cover is not regular by class, so G^3 lists it for the power set
     _assert_subgroup_matches(before.power_subgroup(3), refs["power"], words)
+    assert before._tabled  # the series built on words now sift on indices
+    _assert_series_match(before, refs, words)
     after = PcGroup(cover_pres)
     elems = after.elements()
     _assert_series_match(after, refs, words)

@@ -239,6 +239,29 @@ def test_render_formats(catalog_run):
     assert '"groups"' in js and '"summary"' in js
 
 
+def test_csv_keeps_five_fields_for_a_name_with_a_comma(bundled, tmp_path, monkeypatch):
+    import csv
+
+    from schurlab import verifier
+    from schurlab.pcgroup import PcError
+
+    path = tmp_path / "comma.cat"
+    pres = dataclasses.replace(bundled["cyclic_3"].presentation, name="c3,x")
+    path.write_text(pres.to_catalog_text())
+    config = RunConfig(catalog_paths=(str(path),), include_bundled=False)
+    rows = list(csv.reader(verifier.run(config).render("csv").splitlines()))
+    assert rows[0] == ["group", "order", "rule", "status", "witness"]
+    assert len(rows) > 1 and all(len(row) == 5 for row in rows)
+    assert {row[0] for row in rows[1:]} == {"c3,x"}
+
+    def failing_profile(pres, oracle_cap):
+        raise PcError(f"{pres.name}: forged failure, for the test")
+
+    monkeypatch.setattr(verifier, "profile", failing_profile)
+    rows = list(csv.reader(verifier.run(config).render("csv").splitlines()))
+    assert rows[1:] == [["c3,x", "3", "", "error", "c3;x: forged failure; for the test"]]
+
+
 def test_profile_does_each_piece_of_work_once(bundled, tmp_path, monkeypatch):
     from schurlab import catalog, multiplier, pcgroup
 
