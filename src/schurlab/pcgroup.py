@@ -653,13 +653,19 @@ class PcGroup:
     def ngens(self) -> int:
         return self.pres.ngens
 
+    @cached_property
+    def _generators(self) -> tuple[NormalWord, ...]:
+        n = self.ngens
+        return tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+
     def generator(self, i: int) -> NormalWord:
         if not 0 <= i < self.ngens:
             raise PcError(f"generator index {i} out of range")
-        return tuple(1 if j == i else 0 for j in range(self.ngens))
+        return self._generators[i]
 
     def generators(self) -> list[NormalWord]:
-        return [self.generator(i) for i in range(self.ngens)]
+        """The pc generators' words, in a new list on each call."""
+        return list(self._generators)
 
     def normalize(self, letters: Iterable[tuple[int, int]]) -> NormalWord:
         return self.collector.collect(letters)

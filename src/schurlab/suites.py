@@ -7,6 +7,14 @@ law's hypothesis.  Suites are exhaustive over the elements each law
 quantifies; L3.1 and L3.6 share one sweep over the pairs (a, b) with
 [b, a^(p^n)] = 1.  A failure carries an explicit counterexample.
 
+The pair laws L2.15, L3.1, L3.2 and L3.6 hold at (a, b) exactly when they
+hold at (a^g, b^g), so their sweeps take a over a conjugacy-class
+transversal (``_classes``, each class's least index) and b over G, an
+instance at a standing for |a^G| of them.  The failing a form a union of
+classes, so the least of them is a representative and the first
+counterexample is the one a sweep over every a finds.  In an abelian group
+every law holds, and L2.15 and L3.1 report their counts in closed form.
+
 The pair sweeps run on element indices: products are reads of the group's
 Cayley table ``rows``, inverses of ``inverses``, a^(p^n) of the power map
 ``power_maps[n]`` and orders of ``element_orders``, each built once per
@@ -44,20 +52,43 @@ def _powers(group: PcGroup) -> list[tuple[int, list[int]]]:
     return list(enumerate(group.power_maps))[1:]
 
 
-def _centralizing(group: PcGroup) -> Iterator[tuple[int, int, int, list[int]]]:
-    """(a, b, n, power) for each index a, each n of ``_powers`` and each index
-    b with [b, a^q] = 1, q = p^n, in that order; power[x] is the index of
-    x^q."""
+def _classes(group: PcGroup) -> list[tuple[int, int]]:
+    """(a, |a^G|) for each conjugacy class of G, a the class's least index,
+    in increasing order: one orbit pass of x ↦ g^{-1}xg over the pc
+    generators g."""
+    rows, inv = group.rows, group.inverses
+    conjugators = [(rows[inv[g]], g) for g in map(group.position, group.generators())]
+    seen = [False] * group.order
+    classes = []
+    for a in range(group.order):
+        if seen[a]:
+            continue
+        seen[a] = True
+        orbit = [a]
+        for x in orbit:
+            for row_ginv, g in conjugators:
+                y = rows[row_ginv[x]][g]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        classes.append((a, len(orbit)))
+    return classes
+
+
+def _centralizing(group: PcGroup) -> Iterator[tuple[int, int, int, int, list[int]]]:
+    """(a, weight, b, n, power) for each a of ``_classes`` with weight
+    |a^G|, each n of ``_powers`` and each index b with [b, a^q] = 1,
+    q = p^n, in that order; power[x] is the index of x^q."""
     rows = group.rows
     pows = _powers(group)
-    for a in range(group.order):
+    for a, weight in _classes(group):
         for n, power in pows:
             aq = power[a]
             row_aq = rows[aq]
             for b in range(group.order):
                 # [b, aq] = 1 iff b·aq = aq·b
                 if rows[b][aq] == row_aq[b]:
-                    yield a, b, n, power
+                    yield a, weight, b, n, power
 
 
 def _commutator(rows, inverses, u: int, v: int) -> int:
@@ -88,12 +119,18 @@ def check_regular_power_laws(group: PcGroup, flags: GroupFlags) -> Outcome:
     (i)   [b,a]^{p^n} = 1, [b,a^{p^n}] = 1 and [b^{p^n},a] = 1 are equivalent;
     (iii) order(ab) <= max(order(a), order(b));
     (iv)  a^{p^n} = b^{p^n} iff (a b^{-1})^{p^n} = 1.
+
+    Each pair checks 3N + 1 instances, N = ``len(_powers)``.  An abelian
+    group passes without a sweep.
     """
+    pows = _powers(group)
+    detail = f"{group.order**2 * (3 * len(pows) + 1)} instances over {group.order}^2 pairs"
+    if flags.nilpotency_class <= 1:
+        return detail, None
     rows, inv = group.rows, group.inverses
     elems, orders = group.elements(), group.element_orders
-    pows = _powers(group)
-    checked = 0
-    for a, row_a in enumerate(rows):
+    for a, _ in _classes(group):
+        row_a = rows[a]
         for b in range(group.order):
             comm = _commutator(rows, inv, b, a)
             for n, power in pows:
@@ -102,50 +139,56 @@ def check_regular_power_laws(group: PcGroup, flags: GroupFlags) -> Outcome:
                     return "part (i) equivalence failed", bad
                 if (power[a] == power[b]) != (power[row_a[inv[b]]] == 0):
                     return "part (iv) equivalence failed", f"a={elems[a]}, b={elems[b]}, n={n}"
-                checked += 3
             prod_ord = orders[row_a[b]]
             if prod_ord > max(orders[a], orders[b]):
                 return (
                     "part (iii) order bound failed",
                     f"a={elems[a]}, b={elems[b]}: order(ab)={prod_ord}",
                 )
-            checked += 1
-    return f"{checked} instances over {len(elems)}^2 pairs", None
+    return detail, None
 
 
 def check_central_power_abelian(group: PcGroup, flags: GroupFlags) -> Outcome:
-    """On regular groups: [b, a^{p^n}] = 1 implies (ab)^{p^n} = a^{p^n} b^{p^n}."""
+    """On regular groups: [b, a^{p^n}] = 1 implies (ab)^{p^n} = a^{p^n} b^{p^n}.
+
+    In an abelian group all |G|^2 N hypothesis instances hold, N =
+    ``len(_powers)``, and pass without a sweep.
+    """
+    if flags.nilpotency_class <= 1:
+        return f"{group.order**2 * len(_powers(group))} hypothesis instances", None
     rows, elems = group.rows, group.elements()
     checked = 0
-    for a, b, n, power in _centralizing(group):
+    for a, weight, b, n, power in _centralizing(group):
         if power[rows[a][b]] != rows[power[a]][power[b]]:
             return "power-abelian conclusion failed", f"a={elems[a]}, b={elems[b]}, n={n}"
-        checked += 1
+        checked += weight
     return f"{checked} hypothesis instances", None
 
 
 def check_class_p_commutator_equivalence(group: PcGroup, flags: GroupFlags) -> Outcome:
     """On groups of class exactly p: the three vanishing conditions
     [b,a]^{p^n} = 1, [b,a^{p^n}] = 1, [b^{p^n},a] = 1 are pairwise equivalent.
+    Each pair checks N instances, N = ``len(_powers)``.
     """
     rows, inv = group.rows, group.inverses
     pows = _powers(group)
-    checked = 0
-    for a in range(group.order):
+    for a, _ in _classes(group):
         for b in range(group.order):
             comm = _commutator(rows, inv, b, a)
             for n, power in pows:
                 bad = _equivalence_counterexample(group, power, a, b, comm, n)
                 if bad is not None:
                     return "equivalence failed", bad
-                checked += 1
-    return f"{checked} instances", None
+    return f"{group.order**2 * len(pows)} instances", None
 
 
 def check_commutator_order_bound(group: PcGroup, flags: GroupFlags) -> Outcome:
     """On groups of class exactly p: every right-normed commutator of weight
     <= 3 with at least one slot equal to a (other slots over the generators)
     has order at most the order of a modulo the center.
+
+    This sweeps every a: the other slots are the fixed pc generators, so the
+    law is not invariant under conjugating a alone.
     """
     p = group.pres.prime
     rows, inv = group.rows, group.inverses
@@ -206,12 +249,12 @@ def check_three_group_congruence(group: PcGroup, flags: GroupFlags) -> Outcome:
         binomial_pows[n] = powers
 
     checked = 0
-    for a, h, n, power in _centralizing(group):
+    for a, weight, h, n, power in _centralizing(group):
         c = _commutator(rows, inv, h, a)
         t = _commutator(rows, inv, a, _commutator(rows, inv, a, c))
         if rows[binomial_pows[n][t]][power[c]] != 0:
             return "congruence failed", f"a={elems[a]}, h={elems[h]}, n={n}"
-        checked += 1
+        checked += weight
     return f"{checked} congruence instances", None
 
 

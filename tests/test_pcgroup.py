@@ -687,6 +687,18 @@ def test_classify_reads_a_large_abelian_group_off_its_generators():
     assert "_words" not in vars(group)
 
 
+def test_generator_words_are_built_once(groups):
+    group = groups("heisenberg_3")
+    assert group.generators() == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert all(group.generator(i) is g for i, g in enumerate(group.generators()))
+    # each call hands out a new list, so a caller may change it
+    group.generators().append(group.identity)
+    assert len(group.generators()) == 3
+    for i in (-1, 3):
+        with pytest.raises(PcError):
+            group.generator(i)
+
+
 def test_quotient_exponent(groups):
     group = groups("dihedral_16")
     z = group.center()

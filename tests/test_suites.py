@@ -4,7 +4,14 @@ from pathlib import Path
 
 from schurlab.catalog import load_bundled
 from schurlab.pcgroup import make_presentation, group_of
-from schurlab.suites import SUITE_IDS, SUITE_ORDER_CAP, SuiteReport, _centralizing, run_suites
+from schurlab.suites import (
+    SUITE_IDS,
+    SUITE_ORDER_CAP,
+    SuiteReport,
+    _centralizing,
+    _classes,
+    run_suites,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "suite_reports.json"
 
@@ -56,14 +63,15 @@ def test_l36_covers_all_small_3_groups(bundled, groups):
 
 def test_centralizing_sweep_matches_two_generator_subgroups(groups, closure):
     # L3.6 quantifies over h in <a,b> whenever [b, a^(3^n)] = 1; the shared
-    # sweep must yield exactly those (a, h, n), each once.
+    # sweep must yield exactly those (a, h, n) with a in the class
+    # transversal, each once, weighted by the size of a's class.
     for name in ("heisenberg_3", "modular_27", "heisenberg_3_x_c3", "modular_81", "wreath_c3_c3"):
         group = groups(name)
-        elems, one = group.elements(), group.identity
+        elems, one, rows = group.elements(), group.identity, group.rows
         ns = [n for n in range(1, 5) if 3**n <= group.exponent()]  # exponent <= 81
         closures = {}
         reference = set()
-        for a in elems:
+        for a in (elems[x] for x, _ in _classes(group)):
             for n in ns:
                 aq = group.power(a, 3**n)
                 for b in elems:
@@ -72,9 +80,57 @@ def test_centralizing_sweep_matches_two_generator_subgroups(groups, closure):
                         if pair not in closures:
                             closures[pair] = closure(group, [a, b])
                         reference.update((a, h, n) for h in closures[pair])
-        swept = [(elems[a], elems[b], n) for a, b, n, _ in _centralizing(group)]
+        swept, weights = [], {}
+        for a, weight, b, n, _ in _centralizing(group):
+            swept.append((elems[a], elems[b], n))
+            weights[a] = weight
         assert len(set(swept)) == len(swept) and set(swept) == reference, name
+        for a, weight in weights.items():  # |a^G| = |G| / |C_G(a)|
+            centralizer = sum(rows[a][x] == rows[x][a] for x in range(group.order))
+            assert weight * centralizer == group.order, (name, a)
         assert _by_id(run_suites(group))["L3.6"].passed, name
+
+
+def test_classes_are_the_conjugacy_classes(bundled, groups):
+    # The representatives are the least elements of the classes {g^-1 a g},
+    # and there are as many classes as commuting pairs over |G| (Burnside).
+    counts = {}
+    for name, entry in bundled.items():
+        if entry.order > SUITE_ORDER_CAP:
+            continue
+        group = groups(name)
+        rows, inv, order = group.rows, group.inverses, group.order
+        reference = {}
+        for a in range(order):
+            cls = {rows[rows[inv[g]][a]][g] for g in range(order)}
+            reference[min(cls)] = len(cls)
+        classes = _classes(group)
+        assert classes == sorted(reference.items()), name
+        assert sum(size for _, size in classes) == order, name
+        commuting = sum(rows[x][y] == rows[y][x] for x in range(order) for y in range(order))
+        assert len(classes) * order == commuting, name
+        counts[name] = len(classes)
+    assert counts["dihedral_8"] == counts["quaternion_8"] == 5
+    assert counts["heisenberg_3"] == 11 and counts["wreath_c3_c3"] == 17
+
+
+def test_abelian_closed_form_matches_the_sweep(bundled, groups):
+    # Forging class 2 on an abelian group forces the sweeps that the closed
+    # form skips; the reports must not change.
+    abelian = 0
+    for name, entry in bundled.items():
+        if entry.order > SUITE_ORDER_CAP:
+            continue
+        group = groups(name)
+        flags = group.classify()
+        if flags.nilpotency_class > 1:
+            continue
+        abelian += 1
+        forged = dataclasses.replace(flags, nilpotency_class=2)
+        closed, swept = _by_id(run_suites(group, flags)), _by_id(run_suites(group, forged))
+        for sid in ("L2.15", "L3.1"):
+            assert closed[sid].applicable and closed[sid] == swept[sid], (name, sid)
+    assert abelian > 0
 
 
 def test_suite_detects_violations(bundled):
