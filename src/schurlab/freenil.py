@@ -361,14 +361,6 @@ def normal_form(s: TruncatedSeries, basis: HallBasis) -> list[int]:
     return [e for layer in expansion_exponents(s, layers, side="left") for e in layer]
 
 
-def product_of_basics(exps: Sequence[int], basis: HallBasis) -> TruncatedSeries:
-    s = TruncatedSeries.one(basis.k, basis.c)
-    for bc, e in zip(basis.commutators, exps):
-        if e:
-            s = s * basis.series(bc).power(e)
-    return s
-
-
 def expansion_exponents(
     s: TruncatedSeries,
     layers: Sequence[tuple[int, Sequence[TruncatedSeries]]],

@@ -261,7 +261,7 @@ def _check_l41(part: str, ns: range) -> list[str]:
     else:  # "iii"
         lhs, rhs, c = "[b, a^n]", L41_III_RHS, 6
     report = verify_identity(parse_expr(lhs), parse_expr(rhs), 2, c, ns, binding=binding)
-    return [] if report.passed else [str(report.counterexample)]
+    return [] if report.passed else [report.counterexample[1]]  # (n, label)
 
 
 def _check_l27() -> list[str]:

@@ -204,9 +204,6 @@ class LatticeBasis:
             self._axpy(v, -(c // g), new)
             work += (b, v)  # v, the remainder, is reduced first
 
-    def contains(self, vec: dict[int, int]) -> bool:
-        return self.reduce(vec) == {}
-
     def reduce(self, vec: dict[int, int]) -> dict[int, int]:
         """Remainder of vec after subtracting basis vectors (no insertions)."""
         v = dict(vec)

@@ -479,9 +479,6 @@ class Subgroup:
     def __le__(self, other: "Subgroup") -> bool:
         return all(t in other for t in self.terms.values())
 
-    def is_trivial(self) -> bool:
-        return not self.terms
-
     @cached_property
     def elements(self) -> frozenset[NormalWord]:
         """Every member, enumerated once, for the callers that sweep them."""
@@ -687,10 +684,6 @@ class PcGroup:
             u = self.multiply(u, u)
             k >>= 1
         return result
-
-    def conjugate(self, g: NormalWord, u: NormalWord) -> NormalWord:
-        """Left conjugation: g u g^{-1}."""
-        return self.multiply(self.multiply(g, u), self.inverse(g))
 
     def commutator(self, u: NormalWord, v: NormalWord) -> NormalWord:
         """[u, v] = u v u^{-1} v^{-1} = (uv)(vu)^{-1}."""

@@ -12,7 +12,6 @@ from schurlab.freenil import (
     fit_binomial,
     group_commutator,
     normal_form,
-    product_of_basics,
     _unpack,
     verify_identity,
 )
@@ -46,7 +45,9 @@ def test_hall_basis_counts():
 def test_normal_form_roundtrip():
     basis = HallBasis(2, 4)
     exps = [2, -1, 3, 0, -2, 1, 4, -3]  # one exponent per basic commutator
-    s = product_of_basics(exps, basis)
+    s = TruncatedSeries.one(basis.k, basis.c)
+    for bc, e in zip(basis.commutators, exps):
+        s = s * basis.series(bc).power(e)
     assert normal_form(s, basis) == exps
 
 

@@ -149,6 +149,14 @@ def test_collection_lemma_at_large_n(lemma_id):
     assert report.passed, report.counterexample
 
 
+def test_l41_counterexample_is_a_label(monkeypatch):
+    wrong = identities.L41_I_RHS.replace("[b,a]^C(n,2)", "[b,a]^n")
+    monkeypatch.setattr(identities, "L41_I_RHS", wrong)
+    report = verify_collection_lemma("L4.1i")
+    assert not report.passed
+    assert report.counterexample == "series differ at n=1"
+
+
 def test_l41iii_exact_past_float_precision():
     # coefficients of [b, a^n] pass 2^53 near n = 874
     assert _check_l41("iii", range(870, 880)) == []
