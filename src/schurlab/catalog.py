@@ -67,6 +67,8 @@ def find_bundled(name: str) -> Optional[CatalogEntry]:
 
 
 def import_file(path: str) -> list[CatalogEntry]:
+    """The groups of a catalog file, UTF-8 with or without a byte-order mark
+    (stripped here: the ``utf-8-sig`` codec costs a module import)."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    return _check_entries(parse_catalog(text))
+    return _check_entries(parse_catalog(text.removeprefix("\ufeff")))

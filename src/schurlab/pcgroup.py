@@ -43,9 +43,12 @@ DEFAULT_CAP = 200_000
 # 70-330 ns a column entry); a product walked down the columns takes 2-8
 # microseconds, where collecting a random pair of normal words takes 20-170.
 # Up to this order the few thousand products of ``classify`` repay the list,
-# so a group lists itself when it is made; a larger one collects until
-# something sweeps it.  At 65,536 the record of abelian_3_3_3_3 would list
-# its cover of order 3^10 and take 0.07 s instead of 0.013 s.
+# so a group lists itself when it is made; a larger one keeps word handles
+# and collects, while its sweeps still read the index maps.  Best of 7
+# ``record_for`` calls: at 65,536 abelian_3_3_3_3 would list its cover of
+# order 3^10 and take 0.09-0.11 s instead of 0.0055 s; at 8,192
+# heisenberg_3_x_c3 would list its cover of order 3^8 and take 0.011 s
+# instead of 0.0075 s.
 TABLE_ORDER = 4096
 
 
@@ -421,18 +424,15 @@ class Subgroup:
     The members are the products t^e t'^e' ··· of the terms in order of
     depth, each e below the relative order at its depth, so those orders
     multiply to the order.  Membership sifts; only ``elements`` enumerates.
-    Both run on the group's handles: ``_powers[listed][d]`` holds those of
-    t^0, ..., t^(o−1) for the term t of depth d, apart before and after the
-    group is listed, as listing changes what a handle is."""
+    Both run on the group's handles: ``_powers[d]`` holds those of t^0, ...,
+    t^(o−1) for the term t of depth d."""
 
     group: "PcGroup"
     terms: dict[int, NormalWord] = field(default_factory=dict)
     _exponents: dict[Optional["Subgroup"], int] = field(
         default_factory=dict, init=False, repr=False
     )
-    _powers: tuple[dict[int, list], dict[int, list]] = field(
-        default_factory=lambda: ({}, {}), init=False, repr=False
-    )
+    _powers: dict[int, list] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -446,31 +446,27 @@ class Subgroup:
         return group._word_of[self._sift(group._handle_of[w])]
 
     def _sift(self, x):
-        """``sift`` on the handle x: clearing exponent e at depth d folds x's
-        walk onto the handle of t^(o−e)."""
+        """``sift`` on the handle x: clearing exponent e at depth d
+        left-multiplies x by the handle of t^(o−e)."""
         group = self.group
-        word, walk = group._word_of, group._walk_of
+        word = group._word_of
         for d, o in enumerate(group.pres.relative_orders):
             e = word[x][d]
             if e:
                 pows = self._term_powers(d)
                 if pows is None:
                     break
-                y = pows[o - e]
-                for col in walk[x]:
-                    y = col[y]
-                x = y
+                x = group._times(pows[o - e], x)
         return x
 
     def _term_powers(self, d: int) -> Optional[list]:
         """The powers of the term of depth d, filled from ``terms`` the first
-        time for the group's handles; None when no term has depth d."""
+        time; None when no term has depth d."""
         group = self.group
-        powers = self._powers[group._tabled]
-        pows = powers.get(d)
+        pows = self._powers.get(d)
         if pows is None and d in self.terms:
             t, o = group._handle_of[self.terms[d]], group.pres.relative_orders[d]
-            pows = powers[d] = group._powers_up_to(t, o - 1)
+            pows = self._powers[d] = group._powers_up_to(t, o - 1)
         return pows
 
     def __contains__(self, w: NormalWord) -> bool:
@@ -536,27 +532,6 @@ class _Same:
         return w
 
 
-class _CollectedWalks:
-    """The walks of a group that is not listed: the walk of y is one step,
-    a ``_RightProduct``, whose entry x is x·y, collected."""
-
-    def __init__(self, collector: Collector):
-        self.collector = collector
-
-    def __getitem__(self, y: NormalWord) -> tuple["_RightProduct"]:
-        return (_RightProduct(self.collector, word_of(y)),)
-
-
-class _RightProduct:
-    __slots__ = ("collector", "letters")
-
-    def __init__(self, collector: Collector, letters: Word):
-        self.collector, self.letters = collector, letters
-
-    def __getitem__(self, x: NormalWord) -> NormalWord:
-        return self.collector.collect(word_of(x) + self.letters)
-
-
 @dataclass(frozen=True)
 class GroupFlags:
     nilpotency_class: int
@@ -574,36 +549,37 @@ class PcGroup:
     """Arithmetic and structure for one consistent pc presentation.
 
     ``elements()`` lists the normal words lexicographically, at most
-    ``DEFAULT_CAP`` of them.  Every algorithm is written once, on handles:
-    an element's index in a listed group, its normal word otherwise; tuples
-    are only the public face, each call converting its operands once.  A
-    group of order at most ``TABLE_ORDER`` is listed when it is made, a
-    larger one once something sweeps it.  In a listed group (Leedham-Green–
-    Soicher, "Collection from the left and other strategies", JSC 9, 1990)
-    each pc generator g has a right-multiplication column, entry x the index
-    of x·g.  The columns are built whole, from the last generator up, out of
-    the conjugation action and the power words of the presentation, with no
+    ``DEFAULT_CAP`` of them.  Every algorithm is written once, on handles;
+    tuples are only the public face, each call converting its operands once.
+    The kind of handle is fixed when the group is made.  A group of order at
+    most ``TABLE_ORDER`` is listed then, and a handle is an element's index;
+    in a larger group a handle is the normal word, for life, and x·y collects
+    x's letters and y's.  In a listed group (Leedham-Green–Soicher,
+    "Collection from the left and other strategies", JSC 9, 1990) each pc
+    generator g has a right-multiplication column, entry x the index of x·g.
+    The columns are built whole, from the last generator up, out of the
+    conjugation action and the power words of the presentation, with no
     collection (see ``_columns``).  Each element y has a walk, the columns
     of its letters in order, built once per group by last letter
     (``_walks``), and x·y folds x down y's walk: at most n(p−1) lookups,
-    with no per-letter call.  Otherwise the walk of y is one step, which
-    collects x's letters and y's.  An inverse is walked to the identity
-    once and kept, or collected (``_inv``); a commutator [x, y] is x·y, y·x
-    and then (y·x)^{-1} onto x·y (``_comm``); a power squares.
+    with no per-letter call.  An inverse is walked down the columns to the
+    identity once and kept, or collected (``_inv``); a commutator [x, y] is
+    x·y, y·x and then (y·x)^{-1} onto x·y (``_comm``); a power squares.
 
     Subgroups are induced pc sequences built by ``subgroup``, so γ₂, the lower
     central and derived series and the center cost a closure, not
     enumeration.  The closure queues handles: each term keeps the handles of
-    its powers, a sift left-multiplies by one of them with one fold down
-    the remainder's walk, and the queue takes each term's p-th power and
-    commutators.  Every exponent is ``Subgroup.exponent``: exp(HN/N) for a
+    its powers, a sift left-multiplies the remainder by one of them, and
+    the queue takes each term's p-th power and commutators.  Every exponent is ``Subgroup.exponent``: exp(HN/N) for a
     subgroup H and a normal subgroup N, and ``exponent`` asks it of G itself.
     It reads the terms' orders when they commute or when the group is abelian
     or a p-group of class below p (``_regular_by_class``), which also gives
     the power subgroups G^k from the pc generators; otherwise it sweeps H,
     and G^k comes from the power set.  Each is kept.
 
-    Index maps serve callers that sweep the whole group.  ``rows`` is the
+    Index maps serve callers that sweep the whole group, whatever its
+    handles: they are built from the columns on first use.  ``inverses``
+    walks each index to the identity as ``_inv`` does.  ``rows`` is the
     Cayley table, derived from the columns: y is y' = y − stride[m] times its
     last letter g_m (read off one table that the columns share), so row x
     reads entry y off column m at entry y'.  It
@@ -622,11 +598,6 @@ class PcGroup:
         self.pres = pres
         self.collector = pres.collector
         self.identity: NormalWord = (0,) * pres.ngens
-        # a handle is the normal word itself until the group is listed, at
-        # construction when small (see ``TABLE_ORDER``)
-        self._tabled, self._one = False, self.identity
-        self._handle_of = self._word_of = _Same()
-        self._walk_of = _CollectedWalks(self.collector)
         self._pth: Optional[list[int]] = None
         self._power_sets: dict[int, frozenset[NormalWord]] = {}
         self._power_subgroups: dict[int, Subgroup] = {}
@@ -637,8 +608,17 @@ class PcGroup:
             if pres.order <= DEFAULT_CAP and len(self._order_prime_factors) == 1
             else None
         )
-        if pres.order <= TABLE_ORDER:
-            self.elements()
+        # a handle is an element's index in a group listed here, and the
+        # normal word itself in a larger one (see ``TABLE_ORDER``)
+        self._tabled = pres.order <= TABLE_ORDER
+        if self._tabled:
+            # ``_invs`` holds the inverses' indices that ``_inv`` has filled, −1 elsewhere
+            self._one, self._invs = 0, [-1] * pres.order
+            self._handle_of, self._word_of = self._index, self._words
+            self._walks  # builds the columns and walks that products fold down
+        else:
+            self._one = self.identity
+            self._handle_of = self._word_of = _Same()
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -691,35 +671,26 @@ class PcGroup:
         return self._word_of[self._comm(handle[u], handle[v])]
 
     # -- arithmetic on handles -------------------------------------------------
-    # Only ``_inv`` and the tables that listing sets tell handles apart:
-    # ``_handle_of`` (word to handle), ``_word_of`` (handle to word) and
-    # ``_walk_of`` (entry y the steps that take x to x·y, each x = step[x]).
+    # Only ``_times`` and ``_inv`` tell the kinds of handle apart, by
+    # ``_tabled``; ``_handle_of`` maps a word to its handle, ``_word_of`` back.
 
     def _times(self, x, y):
-        """Handle of x·y: x folded down y's walk."""
-        for col in self._walk_of[y]:
+        """Handle of x·y: x folded down y's walk in a listed group, x's
+        letters and y's collected otherwise."""
+        if not self._tabled:
+            return self.collector.collect(word_of(x) + word_of(y))
+        for col in self._walks[y]:
             x = col[x]
         return x
 
     def _inv(self, x):
-        """Handle of x^{-1}.  Until the group is listed it collects the
-        inverted letters; in a listed group it is filled on first use:
-        x·g1^k1·g2^k2··· walks to the identity, each ki clearing exponent i,
-        and x^{-1} = g1^k1·g2^k2···."""
+        """Handle of x^{-1}: the inverted letters collected, or in a listed
+        group ``_inverse_index``, filled on first use."""
         if not self._tabled:
             return self.normalize(tuple((g, -e) for g, e in reversed(word_of(x))))
         y = self._invs[x]
         if y < 0:
-            words, columns, strides = self._words, self._columns, self._strides
-            z, y = x, 0
-            for g, o in enumerate(self.pres.relative_orders):
-                e = words[z][g]
-                if e:
-                    col = columns[g]
-                    for _ in range(o - e):
-                        z = col[z]
-                    y += (o - e) * strides[g]
-            self._invs[x] = y
+            y = self._invs[x] = self._inverse_index(x)
         return y
 
     def _comm(self, x, y):
@@ -727,14 +698,10 @@ class PcGroup:
         return self._times(self._times(x, y), self._inv(self._times(y, x)))
 
     def _powers_up_to(self, x, k: int) -> list:
-        """Handles of x^0, x^1, ..., x^k, each the last folded down x's walk."""
-        walk = self._walk_of[x]
-        y = self._one
-        pows = [y]
+        """Handles of x^0, x^1, ..., x^k, each the last times x."""
+        pows = [self._one]
         for _ in range(k):
-            for col in walk:
-                y = col[y]
-            pows.append(y)
+            pows.append(self._times(pows[-1], x))
         return pows
 
     def element_order(self, u: NormalWord, modulo: Optional[Subgroup] = None) -> int:
@@ -757,8 +724,8 @@ class PcGroup:
         return o
 
     def pth(self, x: int) -> int:
-        """Index of (element x)^p in a listed p-group: x folded p − 1 times
-        down its own walk, once per x."""
+        """Index of (element x)^p in an enumerable p-group: x folded p − 1
+        times down its own walk, once per x."""
         table = self._pth
         if table is None:
             if self._walk_prime is None:
@@ -803,17 +770,11 @@ class PcGroup:
     # -- enumeration and subgroups -------------------------------------------
 
     def elements(self) -> tuple[NormalWord, ...]:
-        """Every normal word, in lexicographic order, built once; from then on
-        products walk the index tables."""
+        """Every normal word, in lexicographic order, built once."""
         if self.order > DEFAULT_CAP:
             raise EnumerationCapExceeded(
                 f"{self.pres.name}: order {self.order} exceeds cap {DEFAULT_CAP}"
             )
-        if not self._tabled:
-            # from here on a handle is an element's index; ``_invs`` holds the
-            # inverses' indices that ``_inv`` has filled, −1 elsewhere
-            self._tabled, self._one, self._invs = True, 0, [-1] * self.order
-            self._handle_of, self._word_of, self._walk_of = self._index, self._words, self._walks
         return self._words
 
     def position(self, w: NormalWord) -> int:
@@ -923,10 +884,22 @@ class PcGroup:
     @cached_property
     def inverses(self) -> list[int]:
         """inverses[x] is the index of the inverse of element x."""
-        self.elements()
-        for x in range(self.order):
-            self._inv(x)
-        return self._invs
+        return [self._inverse_index(x) for x in range(self.order)]
+
+    def _inverse_index(self, x: int) -> int:
+        """Index of the inverse of element x: x·g1^k1·g2^k2··· walks down the
+        columns to the identity, each ki clearing exponent i, and x^{-1} =
+        g1^k1·g2^k2···."""
+        words, columns, strides = self._words, self._columns, self._strides
+        y = 0
+        for g, o in enumerate(self.pres.relative_orders):
+            e = words[x][g]
+            if e:
+                col = columns[g]
+                for _ in range(o - e):
+                    x = col[x]
+                y += (o - e) * strides[g]
+        return y
 
     def subgroup(
         self, gens: Iterable[NormalWord], conjugators: Sequence[NormalWord] = ()
@@ -955,7 +928,7 @@ class PcGroup:
             queue.extend(self._comm(t, s) for s in terms)
             queue.extend(self._comm(c, t) for c in partners)
             sub.terms[d] = word[t]
-            sub._powers[self._tabled][d] = pows
+            sub._powers[d] = pows
             terms.append(t)
         return sub
 
@@ -1263,9 +1236,10 @@ def parse_catalog(text: str) -> list[PcPresentation]:
 
     The parser checks line syntax only: tokens, integers, keys, relation
     headers (``pow i`` with 1 <= i <= ngens, ``comm j i`` with
-    1 <= i < j <= ngens), repeated keys and relations, and each block's name,
-    ngens and orders.  Every other rule is ``PcPresentation``'s; its failure
-    is reported at the line of the field or relation it names.
+    1 <= i < j <= ngens), repeated keys and relations, and each block's name
+    (present, not empty and unique), ngens and orders.  Every other rule is
+    ``PcPresentation``'s; its failure is reported at the line of the field or
+    relation it names.
     """
     blocks: list[tuple[int, list[tuple[int, str]]]] = []
     current: Optional[list[tuple[int, str]]] = None
@@ -1296,6 +1270,8 @@ def parse_catalog(text: str) -> list[PcPresentation]:
                     raise CatalogSyntaxError(lineno, f"unknown key {key!r}")
                 if key in line_of:
                     raise CatalogSyntaxError(lineno, f"repeated {key}")
+                if key == "name" and not value:
+                    raise CatalogSyntaxError(lineno, "empty name")
                 try:
                     fields[key] = _KEYS[key](value)
                 except ValueError:

@@ -14,15 +14,16 @@ import sys
 import types
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import schurlab
-from schurlab import commexpr
+from schurlab import commexpr, pcgroup
 from schurlab.catalog import load_bundled
 from schurlab.freenil import group_commutator
 from schurlab.identities import verify_collection_lemma
-from schurlab.pcgroup import Collector, group_of
+from schurlab.pcgroup import Collector, PcGroup, group_of
 from schurlab.verifier import RunConfig, run
 
 
@@ -108,6 +109,18 @@ def sweeps():
         exponent=reference_exponent,
         power_subgroup=reference_power_subgroup,
     )
+
+
+def listed_group(pres) -> PcGroup:
+    """The group of ``pres`` with index handles whatever its order, so that
+    a reference sweeping a group above ``TABLE_ORDER`` walks its columns."""
+    with mock.patch.object(pcgroup, "TABLE_ORDER", pres.order):
+        return PcGroup(pres)
+
+
+@pytest.fixture(scope="session")
+def listed():
+    return listed_group
 
 
 @pytest.fixture(scope="session")

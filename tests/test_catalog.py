@@ -23,10 +23,11 @@ def test_bundle_coverage():
 def test_import_file_roundtrip(tmp_path):
     src = load_bundled()[0].presentation.to_catalog_text()
     path = tmp_path / "extra.cat"
-    path.write_text(src)
-    entries = import_file(str(path))
-    assert len(entries) == 1
-    assert entries[0].presentation.to_catalog_text() == src
+    for bom in ("", "\ufeff"):  # a UTF-8 byte-order mark is skipped
+        path.write_text(bom + src, encoding="utf-8")
+        entries = import_file(str(path))
+        assert len(entries) == 1
+        assert entries[0].presentation.to_catalog_text() == src
 
 
 def test_import_rejects_inconsistent(tmp_path):

@@ -206,7 +206,7 @@ def _assert_arithmetic_matches_collection(group, rng, samples):
             assert (u in sub) == (u in powers), (u, v)
 
 
-def test_table_arithmetic_matches_collection(bundled):
+def test_table_arithmetic_matches_collection(bundled, listed):
     rng = random.Random(1)
     small = [e.presentation for e in bundled.values() if e.order <= 81]
     for pres in small + [bundled["modular_625"].presentation, d8_x_c3()]:
@@ -214,8 +214,7 @@ def test_table_arithmetic_matches_collection(bundled):
     cover = schur_cover(bundled["heisenberg_3_x_c3"].presentation).group
     assert cover.order == 6561 > TABLE_ORDER and not cover._tabled
     _assert_arithmetic_matches_collection(cover, rng, 300)  # by collection
-    cover.elements()
-    _assert_arithmetic_matches_collection(cover, rng, 300)  # by index
+    _assert_arithmetic_matches_collection(listed(cover.pres), rng, 300)  # by index
 
 
 def test_multiply_keeps_no_per_pair_state(bundled):
@@ -258,15 +257,14 @@ def d8_x_c3():
 
 
 def _assert_columns_match_collection(group, xs):
-    """Entry x of each right-multiplication column, read as the product of
-    element x and a pc generator, is that element's word followed by the
-    generator, collected."""
+    """Entry x of each right-multiplication column is the index of element
+    x's word followed by the pc generator, collected."""
     collect = Collector(group.pres).collect
     elems = group.elements()
-    for g, gen in enumerate(group.generators()):
+    for g, column in enumerate(group._columns):
         for x in xs:
             expected = collect(word_of(elems[x]) + ((g, 1),))
-            assert group.multiply(elems[x], gen) == expected, (group.pres.name, elems[x], g)
+            assert elems[column[x]] == expected, (group.pres.name, elems[x], g)
 
 
 def test_columns_match_collection(bundled):
@@ -274,8 +272,7 @@ def test_columns_match_collection(bundled):
     for group in small + [PcGroup(d8_x_c3())]:
         _assert_columns_match_collection(group, range(group.order))
     cover = schur_cover(bundled["heisenberg_3_x_c3"].presentation).group
-    assert cover.order == 6561 > TABLE_ORDER
-    cover.elements()  # products walk the columns from here on
+    assert cover.order == 6561 > TABLE_ORDER and not cover._tabled
     _assert_columns_match_collection(cover, random.Random(3).sample(range(cover.order), 400))
 
 
@@ -283,15 +280,42 @@ def test_listed_group_fills_its_tables_without_collecting(bundled, words_collect
     groups = [PcGroup(e.presentation) for e in bundled.values() if e.order <= 81]
     groups.append(PcGroup(d8_x_c3()))
     cover = schur_cover(bundled["heisenberg_3_x_c3"].presentation).group
-    for group in groups + [cover]:
-        group.elements()
     words_collected.clear()
     for group in groups:
         assert len(group.rows) == len(group.inverses) == group.order
-    rng = random.Random(4)
-    for _ in range(200):
-        cover.multiply(_random_element(cover, rng), _random_element(cover, rng))
+    for x in random.Random(4).sample(range(cover.order), 200):
+        cover.pth(x)  # the columns and walks of a group that keeps word handles
     assert words_collected == []
+
+
+def test_large_cover_index_maps_match_collection(bundled):
+    cover = schur_cover(bundled["heisenberg_3_x_c3"].presentation).group
+    assert cover.order == 6561 > TABLE_ORDER
+    collect = Collector(cover.pres).collect
+    elems = cover.elements()
+    for x in random.Random(5).sample(range(cover.order), 200):
+        u = elems[x]
+        assert elems[cover.inverses[x]] == collect(_inverse_word(u)), u
+        assert elems[cover.pth(x)] == collect(word_of(u) * 3), u
+    assert not cover._tabled
+
+
+def test_covers_above_table_order_are_never_listed(bundled, monkeypatch):
+    made = []
+    init = PcGroup.__init__
+
+    def recording(self, pres):
+        init(self, pres)
+        made.append(self)
+
+    monkeypatch.setattr(PcGroup, "__init__", recording)
+    for name in ("abelian_3_3_3_3", "heisenberg_3_x_c3"):
+        assert "error" not in verifier.record_for(bundled[name].presentation), name
+    large = {g.pres.name: g for g in made if g.order > TABLE_ORDER}
+    assert sorted(large) == ["abelian_3_3_3_3.cover", "heisenberg_3_x_c3.cover"]
+    for group in large.values():
+        assert not group._tabled
+        assert not {"_words", "_index", "_columns", "_walks"} & set(vars(group)), group.pres.name
 
 
 def test_overlap_run_collects_one_word_per_side(bundled, words_collected):
@@ -311,8 +335,8 @@ def _squaring_order(group, u):
     return q
 
 
-def test_element_orders_and_power_maps_match_squaring(bundled):
-    cover = schur_cover(bundled["heisenberg_3_x_c3"].presentation).group
+def test_element_orders_and_power_maps_match_squaring(bundled, listed):
+    cover = listed(schur_cover(bundled["heisenberg_3_x_c3"].presentation).cover)
     for group in [PcGroup(e.presentation) for e in bundled.values()] + [cover]:
         name, elems, p = group.pres.name, group.elements(), group.pres.prime
         orders = [_squaring_order(group, u) for u in elems]
@@ -333,43 +357,50 @@ def test_element_orders_and_power_maps_match_squaring(bundled):
         assert group.exponent(modulo=center) == max(modulo_center), name
 
 
-def _sweep_cases(bundled):
-    """Every bundled group, the cover of each bundled group of order <= 243
-    (that of abelian_3_3_3_3 has order 3^10; on a 2-core Xeon its sweeps take
-    about 2.5 s, 0.7 s of them the center and exp(G)), and D8 x C3."""
+def _sweep_cases(bundled, listed):
+    """(group, reference) for every bundled group, the cover of each bundled
+    group of order <= 243 and D8 x C3.  The reference is the group itself,
+    or a listed copy of a cover above ``TABLE_ORDER`` (those of
+    heisenberg_3_x_c3, 3^8, and abelian_3_3_3_3, 3^10, whose sweeps take
+    most of the time), so that the sweeps walk columns while the group
+    under test collects."""
     for _name, entry in sorted(bundled.items()):
-        yield PcGroup(entry.presentation)
+        group = PcGroup(entry.presentation)
+        yield group, group
         if entry.order <= 243:
-            yield schur_cover(entry.presentation).group
-    yield PcGroup(d8_x_c3())
+            cover = schur_cover(entry.presentation)
+            ref = cover.group if cover.group._tabled else listed(cover.cover)
+            yield cover.group, ref
+    group = PcGroup(d8_x_c3())
+    yield group, group
 
 
-def test_center_exponents_and_power_subgroups_match_sweeps(bundled, sweeps):
-    for group in _sweep_cases(bundled):
+def test_center_exponents_and_power_subgroups_match_sweeps(bundled, sweeps, listed):
+    for group, ref in _sweep_cases(bundled, listed):
         name = group.pres.name
         center = group.center()
-        z = sweeps.center(group)
+        z = sweeps.center(ref)
         assert center.elements == z, name
         assert center.order == len(z), name
-        assert group.exponent() == sweeps.exponent(group), name
-        assert group.exponent(modulo=center) == sweeps.exponent(group, modulo=z), name
+        assert group.exponent() == sweeps.exponent(ref), name
+        assert group.exponent(modulo=center) == sweeps.exponent(ref, modulo=z), name
         subgroups = [center, group.gamma2]
         for m in range(3, group.nilpotency_class() + 1):
             gamma = group.gamma(m)
-            expected = sweeps.exponent(group, modulo=gamma.elements)
+            expected = sweeps.exponent(ref, modulo=gamma.elements)
             assert group.exponent(modulo=gamma) == expected, name
             subgroups.append(gamma)
         p = group.pres.prime
         for k in () if p is None else sorted({p, p * p, 4} if p == 2 else {p, p * p}):
             power = group.power_subgroup(k)
-            assert power.elements == sweeps.power_subgroup(group, k), (name, k)
+            assert power.elements == sweeps.power_subgroup(ref, k), (name, k)
             subgroups.append(power)
         for sub in subgroups:
-            assert sub.exponent() == sweeps.exponent(group, over=sub.elements), name
+            assert sub.exponent() == sweeps.exponent(ref, over=sub.elements), name
         # exp(HN/N), read after exp(H), so a cache that ignores N shows
         for sub in [group.gamma2] + ([] if p is None else [group.power_subgroup(p)]):
             for normal in (center, group.gamma(3)):
-                expected = sweeps.exponent(group, over=sub.elements, modulo=normal.elements)
+                expected = sweeps.exponent(ref, over=sub.elements, modulo=normal.elements)
                 assert sub.exponent(modulo=normal) == expected, name
 
 
@@ -615,9 +646,10 @@ def _assert_series_match(group, refs, words):
         _assert_subgroup_matches(sub, members, words)
 
 
-def test_index_structure_matches_enumeration(bundled, closure, sweeps):
-    """The structure computed on indices (listed groups) and by collection
-    (the 3^8 cover before it is listed) equals the enumerated references."""
+def test_index_structure_matches_enumeration(bundled, closure, sweeps, listed):
+    """The structure computed on indices (listed groups, and a listed copy
+    of the 3^8 cover) and by collection (the 3^8 cover, which keeps word
+    handles) equals the enumerated references."""
     cases = [e.presentation for e in bundled.values() if e.order <= 81]
     cases += [bundled["modular_625"].presentation, d8_x_c3()]
     rng = random.Random(7)
@@ -631,19 +663,18 @@ def test_index_structure_matches_enumeration(bundled, closure, sweeps):
             assert [elems[group.pth(x)] for x in range(group.order)] == [
                 ref.power(u, p) for u in elems], pres.name
     cover_pres = schur_cover(bundled["heisenberg_3_x_c3"].presentation).cover
-    ref = PcGroup(cover_pres)
+    ref = listed(cover_pres)
     refs = _structure_references(ref, closure, sweeps)
     words = rng.sample(ref.elements(), 60) + rng.sample(sorted(refs["center"]), 20)
-    before = PcGroup(cover_pres)
-    assert before.order == 6561 > TABLE_ORDER
-    _assert_series_match(before, refs, words)
-    assert not before._tabled  # closures, sifts and elements all by collection
-    assert not {"_words", "_walks", "_columns", "_index"} & set(vars(before))  # no tables built
-    # G^3 last: the cover is not regular by class, so G^3 lists it for the power set
-    _assert_subgroup_matches(before.power_subgroup(3), refs["power"], words)
-    assert before._tabled  # the series built on words now sift on indices
-    _assert_series_match(before, refs, words)
-    after = PcGroup(cover_pres)
+    cover = PcGroup(cover_pres)
+    assert cover.order == 6561 > TABLE_ORDER
+    _assert_series_match(cover, refs, words)
+    assert not {"_words", "_walks", "_columns", "_index"} & set(vars(cover))  # no tables built
+    # G^3 last: the cover is not regular by class, so G^3 sweeps the power maps
+    _assert_subgroup_matches(cover.power_subgroup(3), refs["power"], words)
+    assert not cover._tabled  # closures and sifts still collect words
+    _assert_series_match(cover, refs, words)
+    after = listed(cover_pres)
     elems = after.elements()
     _assert_series_match(after, refs, words)
     _assert_subgroup_matches(after.power_subgroup(3), refs["power"], words)
@@ -751,6 +782,10 @@ def test_parse_catalog_errors():
         with pytest.raises(CatalogSyntaxError, match="repeated") as excinfo:
             parse_catalog(f"[group]\nname = a\nprime = 3\nngens = 1\norders = 3\n{line}\n")
         assert excinfo.value.lineno == 6, line
+    for line in ("name =", "name = # a comment"):
+        with pytest.raises(CatalogSyntaxError, match="empty name") as excinfo:
+            parse_catalog(f"[group]\nprime = 2\n{line}\nngens = 1\norders = 2\n")
+        assert excinfo.value.lineno == 3, line
 
 
 def _random_presentation(rng, equal_orders):
