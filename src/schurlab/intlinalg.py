@@ -3,9 +3,13 @@
 A row (or vector) is a dict {column: nonzero value}; a matrix is a list of rows
 plus a column count.  ``LatticeBasis`` keeps a triangular basis of a sublattice
 of Z^dim.  One reduction loop, ``LatticeBasis.reduce``, serves insertion,
-membership and ``IntegerSolver``, which reads integer solutions off it.  The
-quotient invariants peel off the unit pivots in one pass and hand the small
-remainder to ``snf``, a dense Smith normal form.
+membership and ``IntegerSolver``, which reads integer solutions off it.
+
+Every integer quotient goes through one elimination, ``smith_form``: the rows
+go into a ``LatticeBasis``, its unit pivots are peeled off in one pass, and
+only the small residue meets ``snf``, a dense Smith normal form.  On request
+it also says where each coordinate lands in the Smith coordinates, which is
+all a Schur cover reads of a column transform.
 
 Everything here is arbitrary-precision; no floating point anywhere.
 """
@@ -32,12 +36,15 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Diagonal of the Smith normal form, with the optional unimodular column
-    transform Q: P * A * Q equals diag(diagonal) (padded with zeros) for some
-    unimodular P, which is not kept."""
+    """Diagonal of the Smith normal form, with ``snf``'s optional unimodular
+    column transform Q: P * A * Q equals diag(diagonal) (padded with zeros)
+    for some unimodular P, which is not kept.  ``LatticeBasis.smith_form``
+    gives ``images`` instead: row t of a Q, mod the diagonal, as a sparse
+    vector."""
     diagonal: tuple[int, ...]
     rank: int
     col_transform: Optional[list[list[int]]] = None
+    images: Optional[list[dict[int, int]]] = None
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -51,8 +58,9 @@ def snf(
     ``ncols`` columns, with min-|pivot| selection; ``want_transforms`` also
     tracks the column transform, the only one a caller reads.
 
-    Dense elimination; intended for the small matrices arising from relation
-    tails and homology lattice bases (hundreds of rows at most).
+    Dense elimination with full scans.  It sees only residues: the rows a
+    lattice basis keeps once its unit pivots are peeled off, a handful of
+    rows over the coordinates that are not units (``LatticeBasis.smith_form``).
     """
     m, n = len(rows), ncols
     D = [[row.get(j, 0) for j in range(n)] for row in rows]
@@ -219,14 +227,22 @@ class LatticeBasis:
             self._axpy(v, -(c // a), b)
         return v
 
-    def quotient_invariants(self) -> tuple[tuple[int, ...], int]:
-        """Invariants of Z^dim modulo this lattice: (torsion chain, free rank)."""
-        free_rank = self.dim - self.rank
+    def smith_form(self, images: bool = False) -> SNFResult:
+        """Smith form of Z^dim modulo this lattice, by peeling off the unit
+        pivots and handing the rest to ``snf``.
+
+        The diagonal is the units' 1s, then the residue's diagonal; with
+        ``images``, entry t of ``images`` is the class of e_t as a sparse
+        vector over the Smith coordinates, entry j read modulo diagonal[j]
+        (j < rank) or freely (j >= rank).  The peeled units take the first
+        Smith coordinates, and no image has an entry there."""
         # A coordinate whose pivot value is 1 contributes a trivial invariant
         # factor: clear it from the other vectors and drop its vector.  Only
         # vectors with lower pivots carry it, and clearing never changes a
         # pivot value, so one walk from the highest pivot down, clearing each
         # vector with the unit vectors already cleared above it, peels all.
+        # Each unit vector is then e_i plus entries at coordinates that are
+        # not units, and the residual vectors lie on those coordinates alone.
         units: dict[int, dict[int, int]] = {}
         vectors = []
         for i in sorted(self.pivots, reverse=True):
@@ -237,14 +253,51 @@ class LatticeBasis:
                 units[i] = v
             else:
                 vectors.append(v)
-        if not vectors:
-            return (), free_rank
-        coords = sorted(set().union(*vectors))
+        u = len(units)
+        # the images need every coordinate that is not a unit, free ones too;
+        # the invariants only the residue's own, which keeps snf's scans short
+        if images:
+            coords = [c for c in range(self.dim) if c not in units]
+        else:
+            coords = sorted(set().union(*vectors))
         col_of = {c: j for j, c in enumerate(coords)}
-        rows = [{col_of[c]: val for c, val in v.items()} for v in vectors]
-        result = snf(rows, len(coords))
-        torsion = tuple(d for d in result.diagonal if d > 1)
-        return torsion, free_rank
+        residue = snf([{col_of[c]: x for c, x in v.items()} for v in vectors],
+                      len(coords), want_transforms=images) if vectors else None
+        diagonal = (1,) * u + (residue.diagonal if residue else ())
+        if not images:
+            return SNFResult(diagonal=diagonal, rank=len(diagonal))
+        # e_c for c off the units goes to its row of the residue's column
+        # transform, shifted past the units; e_i for a unit i to minus its
+        # unit vector's other entries, already mapped.
+        Q = residue.col_transform if residue else _identity(len(coords))
+        image: list[dict[int, int]] = [{}] * self.dim
+        for c, j in col_of.items():
+            image[c] = {u + k: x for k, x in enumerate(Q[j]) if x}
+        for i, v in units.items():
+            image[i] = row = {}
+            for c, x in v.items():
+                if c != i:
+                    self._axpy(row, -x, image[c])
+        return SNFResult(diagonal=diagonal, rank=len(diagonal), images=image)
+
+    def quotient_invariants(self) -> tuple[tuple[int, ...], int]:
+        """Invariants of Z^dim modulo this lattice: (torsion chain, free rank)."""
+        result = self.smith_form()
+        return tuple(d for d in result.diagonal if d > 1), self.dim - result.rank
+
+
+def smith_form(
+    rows: Iterable[dict[int, int]], ncols: int, images: bool = False
+) -> SNFResult:
+    """``LatticeBasis.smith_form`` of the row lattice of a sparse matrix: the
+    rows go into a lattice basis by row operations alone, which change no
+    coordinate's class, and only the residue after the unit peel meets
+    ``snf``."""
+    basis = LatticeBasis(ncols)
+    for row in rows:
+        if row:
+            basis.add(row)
+    return basis.smith_form(images)
 
 
 def quotient_invariants(dim: int, generators: Iterable[dict[int, int]]) -> tuple[tuple[int, ...], int]:

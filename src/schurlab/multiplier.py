@@ -8,10 +8,12 @@ M(G) as the torsion of Z^r modulo the tail relations (Hopf's formula; the free
 rank must come out equal to the number of generators).  The oracle is
 the normalized inhomogeneous bar complex, which knows nothing about collection.
 
-One pipeline per group: ``schur_cover`` takes one Smith normal form of one
-tails matrix and reads M(G) from its diagonal and the cover presentation from
-its column transform.  The cover's PcGroup H is built once and carried in the
-``CoverResult``; its γ₂ serves the stem check and ``exterior_exponent``.
+One pipeline per group: ``schur_cover`` runs one elimination of one tails
+matrix, ``intlinalg.smith_form``, and reads M(G) from its diagonal and the
+cover presentation from where each tail lands in the Smith coordinates.  The
+cover's PcGroup H is built once and carried in the ``CoverResult``; its γ₂
+serves the stem check and ``exterior_exponent``.  When M(G) is trivial the
+cover has G's own relation words, and H is G's group.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .intlinalg import LatticeBasis, SNFResult, snf
+from .intlinalg import LatticeBasis, SNFResult, smith_form
 from .pcgroup import PcError, PcGroup, PcPresentation, Word, group_of, make_presentation
 
 DEFAULT_ORACLE_CAP = 32
@@ -261,8 +263,8 @@ def tails_matrix(
 
 
 def _hopf_multiplier(pres: PcPresentation, ntails: int, result: SNFResult) -> AbelianInvariants:
-    """M(G) from the SNF of the tails matrix: the torsion of Z^ntails modulo
-    the tail relations, whose free rank must equal the generator count."""
+    """M(G) from the Smith form of the tails matrix: the torsion of Z^ntails
+    modulo the tail relations, whose free rank must equal the generator count."""
     free = ntails - result.rank
     if free != pres.ngens:
         raise MultiplierError(
@@ -297,7 +299,7 @@ def schur_multiplier(
     if method == "bar":
         return bar_homology(multiplication_table(group_of(pres)), 2, cap=oracle_cap)
     rows, ntails = tails_matrix(pres, tail_perm)
-    tails = _hopf_multiplier(pres, ntails, snf(rows, ntails))
+    tails = _hopf_multiplier(pres, ntails, smith_form(rows, ntails))
     return crosscheck_multiplier(pres, tails, oracle_cap) if method == "both" else tails
 
 
@@ -332,17 +334,18 @@ def schur_cover(
     pres: PcPresentation, tail_perm: Optional[Sequence[int]] = None
 ) -> CoverResult:
     """A Schur cover H of G: central extension by M(G) with kernel inside
-    Z(H) ∩ γ₂(H), built by rewriting relation tails in an SNF basis."""
+    Z(H) ∩ γ₂(H), built by rewriting relation tails in the Smith coordinates
+    of the tails matrix.  With M(G) trivial every tail vanishes, the cover's
+    relation words are G's, and H is ``group_of(pres)``."""
     rows, r = tails_matrix(pres, tail_perm)
     n = pres.ngens
-    result = snf(rows, r, want_transforms=True)
+    result = smith_form(rows, r, images=True)
     multiplier = _hopf_multiplier(pres, r, result)
-    Q = result.col_transform
     col_of_old = _tail_columns(r, tail_perm)
 
     # Keep one central generator per invariant d > 1, refined into a chain of
     # prime-order generators h_1, ..., h_k with h_l^p = h_{l+1}, h_k^p = 1.
-    chains = []  # (snf column j, start index among new gens, chain length, p, d)
+    chains = []  # (Smith coordinate j, start index among new gens, chain length, p, d)
     new_orders: list[int] = []
     for j, d in enumerate(result.diagonal):
         if d > 1:
@@ -351,11 +354,13 @@ def schur_cover(
             new_orders.extend([p] * k)
 
     def tail_word(t: int) -> Word:
-        """Normal word (over the new generators) of the old tail t: the SNF
-        basis change gives tail_t = prod_j f_j^{Q[col_t][j]}."""
+        """Normal word (over the new generators) of the old tail t: with
+        image_t its class in the Smith coordinates,
+        tail_t = prod_j f_j^{image_t[j]}."""
+        image = result.images[col_of_old[t]]
         out = []
         for j, start, k, p, d in chains:
-            c = Q[col_of_old[t]][j] % d
+            c = image.get(j, 0) % d
             for l in range(k):
                 c, digit = divmod(c, p)
                 if digit:
@@ -388,7 +393,9 @@ def schur_cover(
     # Self-checks: consistency (PcGroup raises otherwise), the order law, and
     # the stem property kernel <= Z(H) ∩ γ₂(H).  γ₂(H) maps onto γ₂(G) with
     # kernel γ₂(H) ∩ M, so M <= γ₂(H) exactly when |γ₂(H)| = |γ₂(G)|·|M|.
-    cover_group = PcGroup(cover_pres)
+    # With no chains the relation words are G's, whose consistency
+    # ``tails_matrix`` required, and the kernel checks are vacuous.
+    cover_group = PcGroup(cover_pres) if chains else group_of(pres)
     expected_order = pres.order * multiplier.order
     if cover_pres.order != expected_order:
         raise MultiplierError(

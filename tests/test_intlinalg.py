@@ -9,6 +9,7 @@ from schurlab.intlinalg import (
     IntegerSolver,
     LatticeBasis,
     quotient_invariants,
+    smith_form,
     snf,
     xgcd,
 )
@@ -64,9 +65,28 @@ def _det(matrix):
     return det
 
 
+def _check_smith_form(rows, dim, dense_result):
+    """``smith_form`` with images against dense ``snf``: the same diagonal and
+    rank; each row a of A maps to a·Image, whose entry j is divisible by d_j
+    and zero from the rank on; and the images, with the coordinates of the
+    invariants 1 (which the peeled units leave out of them), span Z^dim."""
+    result = smith_form(rows, dim, images=True)
+    assert (result.diagonal, result.rank) == (dense_result.diagonal, dense_result.rank)
+    assert len(result.images) == dim
+    for row in rows:
+        image = {}
+        for t, a in row.items():
+            LatticeBasis._axpy(image, a, result.images[t])
+        assert all(j < result.rank and v % result.diagonal[j] == 0
+                   for j, v in image.items()), (rows, image)
+    span = [{j: 1} for j in range(result.diagonal.count(1))] + result.images
+    assert quotient_invariants(dim, span) == ((), 0), rows
+
+
 def test_snf_divisibility_and_transforms():
     """Q is unimodular and A·Q has the row lattice of diag(D): then P·A·Q = D
-    for a unimodular P, which ``snf`` does not build."""
+    for a unimodular P, which ``snf`` does not build.  The sparse elimination
+    agrees with it (``_check_smith_form``)."""
     rng = random.Random(7)
     for _ in range(40):
         rows = rng.randint(1, 5)
@@ -84,6 +104,7 @@ def test_snf_divisibility_and_transforms():
             for v in spanning:
                 basis.add(v)
             assert all(basis.reduce(v) == {} for v in spanned), dense
+        _check_smith_form(_rows(dense), cols, result)
 
 
 def test_snf_matches_sympy():
@@ -164,6 +185,7 @@ def test_quotient_invariants_agree_with_snf(matrix):
     result = snf(rows, dim)
     torsion = tuple(d for d in result.diagonal if d > 1)
     assert quotient_invariants(dim, rows) == (torsion, dim - result.rank)
+    _check_smith_form(rows, dim, result)
 
 
 def _apply(columns, x, dim):
@@ -220,3 +242,4 @@ def test_lattice_basis_invariants_after_each_add(matrix):
         result = snf(inserted, dim)
         torsion = tuple(d for d in result.diagonal if d > 1)
         assert basis.quotient_invariants() == (torsion, dim - result.rank)
+    _check_smith_form(inserted, dim, snf(inserted, dim))  # chains of unit pivots

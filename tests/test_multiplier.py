@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurlab.intlinalg import LatticeBasis, quotient_invariants
+from schurlab.intlinalg import LatticeBasis, quotient_invariants, smith_form, snf
 from schurlab.multiplier import (
     DEFAULT_ORACLE_CAP,
     ORACLE_HARD_CAP,
@@ -313,6 +313,28 @@ def test_tails_matrix_matches_separate_collections(bundled):
             ref_rows, ref_ncols = _reference_tails_rows(pres, perm)
             assert ncols == ref_ncols == r, pres.name
             assert rows == ref_rows, (pres.name, perm is not None)
+
+
+def test_tails_elimination_matches_dense_snf(bundled):
+    # the dense Smith form of the whole tails matrix stays the reference
+    for name, entry in sorted(bundled.items()):
+        rows, r = tails_matrix(entry.presentation)
+        dense = snf(rows, r)
+        sparse = smith_form(rows, r, images=True)
+        assert (sparse.diagonal, sparse.rank) == (dense.diagonal, dense.rank), name
+
+
+def test_trivial_multiplier_cover_is_the_group(bundled):
+    trivial = [e for e in bundled.values() if not schur_multiplier(e.presentation).torsion]
+    assert len(trivial) == 29  # of the 49 bundled groups
+    for entry in trivial:
+        pres = entry.presentation
+        result = schur_cover(pres)
+        assert result.group is group_of(pres), entry.name
+        assert result.kernel_generators == ()
+        assert result.cover.name == f"{pres.name}.cover"
+        text = result.cover.to_catalog_text().replace(result.cover.name, pres.name, 1)
+        assert text == pres.to_catalog_text(), entry.name
 
 
 def test_overlap_records_of_inconsistent_presentation_match_separate_collections():

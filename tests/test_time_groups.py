@@ -2,6 +2,7 @@
 wrapping the functions ``profile`` calls.  These tests time one small group:
 every column is reported, the exclusive stages fit inside ``record_for``, and
 every wrapper is gone afterwards, so no later caller sees a timed function.
+A group with trivial M(G) is its own cover, so its cover runs no overlaps.
 """
 from __future__ import annotations
 
@@ -25,6 +26,11 @@ def test_one_group_every_column(bundled):
     # each figure is rounded to 1e-6 s, so the sum may exceed by half that per stage
     stages = sum(columns[stage] for stage in time_groups.STAGES)
     assert stages <= columns["record_for"] + 5e-7 * len(time_groups.STAGES), columns
-    assert columns["snf"] + columns["cover_consistency"] <= columns["schur_cover"] + 1e-6
+    assert columns["smith_form"] + columns["cover_consistency"] <= columns["schur_cover"] + 1e-6
     for column, (owner, name) in wrapped.items():
         assert getattr(owner, name) is originals[column], column
+
+
+def test_trivial_multiplier_cover_checks_nothing_again(bundled):
+    columns = time_groups.time_group(bundled["cyclic_8"], repeat=1)
+    assert columns["cover_consistency"] == 0, columns

@@ -13,8 +13,10 @@ with its overlap run), ``classify``, ``run_suites``, ``schur_cover``,
 ``exterior_exponent``, ``crosscheck`` (``verifier.crosscheck_multiplier``,
 M(G) by the bar oracle) and ``evaluate_rules``.  A stage is timed only when
 no other stage is running, so the stages are exclusive and add up to at most
-``record_for``.  ``snf`` and ``cover_consistency`` (the cover's overlap run)
-are the parts of ``schur_cover`` spent in those two.  The wrappers are
+``record_for``.  ``smith_form`` (the elimination of the tails matrix) and
+``cover_consistency`` (the cover's overlap run) are the parts of
+``schur_cover`` spent in those two; ``cover_consistency`` reads 0 for a group
+with trivial M(G), whose cover is G's own group.  The wrappers are
 removed afterwards.  A group of order at most ``ORACLE_HARD_CAP`` also gets
 ``bar``: ``bar_homology`` in degree 2 on its Cayley table, the table built
 before the timing.
@@ -72,7 +74,7 @@ STAGES = {
 }
 # the parts of schur_cover shown apart
 PARTS = {
-    "snf": (multiplier, "snf"),
+    "smith_form": (multiplier, "smith_form"),
     "cover_consistency": (pcgroup, "check_consistency"),
 }
 COLUMNS = ("record_for", *STAGES, *PARTS, "bar")
